@@ -140,6 +140,13 @@ type vstate = {
   mutable pending_restore : Checkpoint.snapshot option;
 }
 
+type divergence_entry = {
+  d_variant : string;
+  d_follower_call : string;
+  d_leader_event : string;
+  d_verdict : string;
+}
+
 type t = {
   k : Types.t;
   cfg : Config.t;
@@ -181,7 +188,7 @@ type t = {
       (* per tuple: followers registered on a forked tuple *)
   ready_cond : E.Cond.cond;
       (* the coordinator's "wait until all followers fork" rendezvous *)
-  mutable divergence_log : divergence_record list; (* reversed, bounded *)
+  mutable divergence_log : divergence_entry list; (* reversed, bounded *)
   mutable divergence_log_len : int;
   mutable tracer : Varan_kernel.Strace.t option;
   fault : Fault.armed option;
@@ -196,15 +203,7 @@ type t = {
   trace_pid : int;
 }
 
-and divergence_record = {
-  dv_variant : string;
-  dv_follower_call : string;
-  dv_leader_event : string;
-  dv_verdict : string;
-}
-
 and net_state = {
-  n_cfg : Config.net;
   n_local_node : Net_node.t;
   n_remote_node : Net_node.t;
   n_bridge : Bridge.t;
@@ -258,21 +257,36 @@ let release_payload t (e : Event.t) =
 
 let tuple_of_unit vst u = vst.unit_tuple.(u)
 
-let is_remote t idx =
-  match t.net with Some ns -> ns.n_remote.(idx) | None -> false
+(* The one "mirror or local ring?" decision. Variant [idx] consumes
+   [tuple] from the bridge's mirror ring when it is a remote follower and
+   [tuple] is 0: the result is then [Some ns], the ring [ns.n_mirror],
+   whose sequence 0 is global tuple-0 sequence [ns.n_base]. Everything
+   else consumes the local ring at global base 0 ([None]) — forked tuples
+   too (same-process license: the model is the bridge shipping their
+   deltas as well). Returns [t.net] itself, so the per-park wait path
+   allocates nothing. *)
+let stream_source t idx tuple =
+  match t.net with
+  | Some ns when tuple = 0 && ns.n_remote.(idx) -> t.net
+  | _ -> None
 
-(* Remote followers consume tuple 0 from the bridge's mirror ring, not
-   the leader's ring; forked tuples are consumed directly (same-process
-   license — the model is the bridge shipping their deltas too). *)
+let is_remote t idx = Option.is_some (stream_source t idx 0)
+
+let source_ring t idx tuple =
+  match stream_source t idx tuple with
+  | Some ns -> ns.n_mirror
+  | None -> t.rings.(tuple)
+
+(* The source ring's head, in global tuple-stream coordinates. *)
+let source_head t idx tuple =
+  match stream_source t idx tuple with
+  | Some ns -> ns.n_base + Ring.published ns.n_mirror
+  | None -> Ring.published t.rings.(tuple)
+
 let follower_queue t vst tuple =
   match t.pump_queues with
   | Some pq -> pq.(tuple).(vst.idx)
-  | None -> (
-    match t.net with
-    | Some ns when tuple = 0 && ns.n_remote.(vst.idx) -> ns.n_mirror
-    | _ -> t.rings.(tuple))
-
-let stream_publish_k t tuple make = Ring.publish_k t.rings.(tuple) make
+  | None -> source_ring t vst.idx tuple
 
 (* Both streaming modes store the follower's resolved handle (shared ring
    or private pump queue) in [vst.consumers], so the per-event accessors
@@ -386,13 +400,10 @@ let stream_position t vst tuple =
   else
     match vst.consumers.(tuple) with
     | None -> None
-    | Some c ->
-      let base =
-        match t.net with
-        | Some ns when tuple = 0 && ns.n_remote.(vst.idx) -> ns.n_base
-        | _ -> 0
-      in
-      Some (base + Ring.cursor_h c)
+    | Some c -> (
+      match stream_source t vst.idx tuple with
+      | Some ns -> Some (ns.n_base + Ring.cursor_h c)
+      | None -> Some (Ring.cursor_h c))
 
 (* Total backlog including events still upstream of the bridge — what
    the Healthy <-> Lagging report should see; for local followers this
@@ -401,24 +412,27 @@ let stream_position t vst tuple =
    follower's (the bridge watchdog owns that case). *)
 let stream_total_lag t vst tuple =
   let consumable = stream_lag t vst tuple in
-  match t.net with
-  | Some ns when tuple = 0 && ns.n_remote.(vst.idx) -> (
+  match stream_source t vst.idx tuple with
+  | None -> consumable
+  | Some _ -> (
     match stream_position t vst tuple with
     | Some pos -> max consumable (Ring.published t.rings.(0) - pos)
     | None -> consumable)
-  | _ -> consumable
 
 (* A crashed follower dies with events still unread; its payload
    references go away with its cursor, or the chunks leak (caught by the
    oracle's pool-balance invariant). *)
-let stream_remove t vst =
-  (* Lane events already passed the ring cursor, so [Ring.unread_h] below
-     cannot see them: release their payloads from the lanes themselves. *)
-  (match vst.lanes with
+let drop_lanes t vst =
+  match vst.lanes with
   | Some ln ->
     List.iter (release_payload t) (Lanes.drain ln);
     vst.lanes <- None
-  | None -> ());
+  | None -> ()
+
+let stream_remove t vst =
+  (* Lane events already passed the ring cursor, so [Ring.unread_h] below
+     cannot see them: release their payloads from the lanes themselves. *)
+  drop_lanes t vst;
   Array.iteri
     (fun tuple c ->
       match c with
@@ -542,33 +556,40 @@ let effective_ring_size (cfg : Config.t) =
   | Some n -> max 1 (min n cfg.Config.ring_size)
   | None -> cfg.Config.ring_size
 
-(* Allocate a fresh tuple: its own ring buffer and bookkeeping slots.
-   Only meaningful in shared-ring mode; the event-pump ablation predates
-   multi-process support, as did the prototype's first design. *)
+(* Set up tuple [idx]: its ring, tapped by the oracle (whose stall hook
+   reports the consumers holding the gate — the oracle flags any that
+   were quarantined, since the leader must never again wait on one), its
+   tape under the lifecycle manager, and its bookkeeping slots. *)
+let setup_tuple t idx =
+  let ring =
+    Ring.create ~size:(effective_ring_size t.cfg) (Printf.sprintf "ring%d" idx)
+  in
+  (match t.oracle with
+  | Some o ->
+    Oracle.attach_ring o ~tuple:idx ring;
+    Ring.set_stall_hook ring
+      (Some (fun cids -> Oracle.note_gate_wait o ~tuple:idx ~cids))
+  | None -> ());
+  t.rings <- grow_array t.rings (idx + 1) ring;
+  t.rings.(idx) <- ring;
+  (if t.lifecycle <> None then begin
+     let tape = Tape.create () in
+     t.tapes <- grow_array t.tapes (idx + 1) tape;
+     t.tapes.(idx) <- tape
+   end);
+  t.waitlock_sleepers <- grow_array t.waitlock_sleepers (idx + 1) 0;
+  t.tuple_ready <- grow_array t.tuple_ready (idx + 1) 0
+
+(* Allocate a fresh tuple for a forked process. Only meaningful in
+   shared-ring mode; the event-pump ablation predates multi-process
+   support, as did the prototype's first design. *)
 let new_tuple t =
   (match t.pump_queues with
   | Some _ -> invalid_arg "Session: fork is unsupported in event-pump mode"
   | None -> ());
   let idx = t.ntuples in
   t.ntuples <- idx + 1;
-  let fresh =
-    Ring.create ~size:(effective_ring_size t.cfg) (Printf.sprintf "ring%d" idx)
-  in
-  (match t.oracle with
-  | Some o ->
-    Oracle.attach_ring o ~tuple:idx fresh;
-    Ring.set_stall_hook fresh
-      (Some (fun cids -> Oracle.note_gate_wait o ~tuple:idx ~cids))
-  | None -> ());
-  t.rings <- grow_array t.rings t.ntuples fresh;
-  t.rings.(idx) <- fresh;
-  (if t.lifecycle <> None then begin
-     let tape = Tape.create () in
-     t.tapes <- grow_array t.tapes t.ntuples tape;
-     t.tapes.(idx) <- tape
-   end);
-  t.waitlock_sleepers <- grow_array t.waitlock_sleepers t.ntuples 0;
-  t.tuple_ready <- grow_array t.tuple_ready t.ntuples 0;
+  setup_tuple t idx;
   Array.iter
     (fun vst ->
       vst.consumers <- grow_array vst.consumers t.ntuples None;
@@ -579,6 +600,26 @@ let new_tuple t =
       vst.catchup_until <- grow_array vst.catchup_until t.ntuples (-1))
     t.vstates;
   idx
+
+(* Reset a variant's per-tuple and per-unit monitor arrays to the launch
+   shape: per tuple no consumer, a fresh Lamport clock and no catch-up
+   range; per unit its tuple, its stream tid and whether it leads. *)
+let reset_shape vst ~ntuples ~leading =
+  let shape = vst.variant.Variant.program in
+  let nunits = shape.Variant.units in
+  vst.vrole <- (if leading then Leader else Follower);
+  vst.table <-
+    (if leading then Syscall_table.leader else Syscall_table.follower);
+  vst.consumers <- Array.make ntuples None;
+  vst.clocks <- Array.init ntuples (fun _ -> Lamport.create ());
+  vst.catchup_pos <- Array.make ntuples 0;
+  vst.catchup_until <- Array.make ntuples (-1);
+  vst.promoted <- Array.make nunits leading;
+  vst.unit_tuple <-
+    (match shape.Variant.unit_kind with
+    | Variant.Thread -> Array.make nunits 0
+    | Variant.Process -> Array.init nunits Fun.id);
+  vst.unit_tid <- Array.init nunits Fun.id
 
 (* Allocate a unit slot in a variant (a forked child process). *)
 let new_unit vst ~tuple ~tid ~promoted =
@@ -597,10 +638,6 @@ let poke_all t =
   match t.pump_queues with
   | None -> ()
   | Some pq -> Array.iter (fun per_tuple -> Array.iter Ring.poke per_tuple) pq
-
-(* ------------------------------------------------------------------ *)
-(* Crash handling and failover (§5.1)                                  *)
-(* ------------------------------------------------------------------ *)
 
 let alive_followers t =
   Array.fold_left
@@ -656,8 +693,41 @@ let check_degraded_floor t =
         (Printf.sprintf "recoverable followers (%d) below min_followers (%d)"
            n p.Lifecycle.min_followers)
 
-let kill_variant t vst signo =
-  List.iter (fun p -> K.kill_proc t.k p signo) vst.all_procs
+(* Evict followers from the session: mark them dead, release their
+   stream consumers (and with them every unread payload grant, so the
+   leader's gate can never again wait on them), abandon any catch-up and
+   kill their processes. The leader may be parked on an evicted
+   follower's gate or a fork rendezvous; both re-examine the world when
+   woken. *)
+let evict t vsts =
+  List.iter
+    (fun vst ->
+      vst.alive <- false;
+      stream_remove t vst;
+      Array.fill vst.catchup_until 0 (Array.length vst.catchup_until) (-1);
+      List.iter
+        (fun p -> K.kill_proc t.k p Varan_kernel.Flags.sigkill)
+        vst.all_procs)
+    vsts;
+  poke_all t;
+  E.Cond.broadcast t.ready_cond
+
+(* A follower's terminal transition, with the flight recorder's
+   post-mortem. *)
+let declare_dead t lc en vst why =
+  Lifecycle.transition lc en Lifecycle.Dead;
+  ignore
+    (Flight.maybe_dump t.fl ~at:(E.now t.k.Types.eng)
+       ~reason:(Printf.sprintf "follower %d dead: %s" vst.idx why))
+
+(* Take a follower out of service into [state] (Quarantined or
+   Unreachable), noting why and where in the stream it stopped. *)
+let park t lc en vst ~reason state =
+  en.Lifecycle.e_reason <- reason;
+  (match stream_position t vst 0 with
+  | Some s -> en.Lifecycle.e_quarantine_seq <- s
+  | None -> ());
+  Lifecycle.transition lc en state
 
 (* Transition a follower into quarantine (pure bookkeeping, callable
    from the watchdog's scheduler context). Returns false when the entry
@@ -672,13 +742,9 @@ let begin_quarantine t vst ~reason =
     | Lifecycle.Quarantined | Lifecycle.Respawning | Lifecycle.Unreachable
     | Lifecycle.Dead -> false
     | Lifecycle.Healthy | Lifecycle.Lagging | Lifecycle.Catching_up ->
-      en.Lifecycle.e_reason <- reason;
-      (match stream_position t vst 0 with
-      | Some s -> en.Lifecycle.e_quarantine_seq <- s
-      | None -> ());
       Flight.record t.fl ~at:(E.now t.k.Types.eng) "lifecycle.quarantine"
         (Printf.sprintf "variant %d: %s" vst.idx reason);
-      Lifecycle.transition lc en Lifecycle.Quarantined;
+      park t lc en vst ~reason Lifecycle.Quarantined;
       true)
 
 (* The tuples the variant's initial units subscribe to — what a respawn
@@ -707,27 +773,16 @@ let respawn t vst =
          partition was healing); a late rejoin would resurrect NVX behind
          the report's back. *)
       en.Lifecycle.e_reason <- "respawn cancelled: session degraded";
-      Lifecycle.transition lc en Lifecycle.Dead;
-      ignore
-        (Flight.maybe_dump t.fl ~at:(E.now t.k.Types.eng)
-           ~reason:
-             (Printf.sprintf "follower %d dead: %s" vst.idx
-                en.Lifecycle.e_reason))
+      declare_dead t lc en vst en.Lifecycle.e_reason
     end
     else begin
-      let remote = is_remote t vst.idx in
       (* The global tuple-0 sequence this rejoin will splice at: for a
          remote follower that is the mirror's head in global coordinates
          (the bridge was reattached at [n_base] before any heal-respawn
          runs), never the local ring's head — a checkpoint above the
          mirror head would leave the restored state ahead of the splice. *)
-      let rejoin_head =
-        match t.net with
-        | Some ns when remote -> ns.n_base + Ring.published ns.n_mirror
-        | _ -> Ring.published t.rings.(0)
-      in
-      let shape = vst.variant.Variant.program in
-      let nunits = shape.Variant.units in
+      let rejoin_head = source_head t vst.idx 0 in
+      let nunits = vst.variant.Variant.program.Variant.units in
       (* rr-style fast rejoin: restore the newest retained checkpoint and
          replay only the tape delta behind it. Only single-unit variants
          are restorable — the snapshot covers exactly unit 0's program
@@ -761,12 +816,7 @@ let respawn t vst =
             "tape truncated below rejoin: need seq %d, retained base %d"
             start0
             (Tape.base t.tapes.(0));
-        Lifecycle.transition lc en Lifecycle.Dead;
-        ignore
-          (Flight.maybe_dump t.fl ~at:(E.now t.k.Types.eng)
-             ~reason:
-               (Printf.sprintf "follower %d dead: %s" vst.idx
-                  en.Lifecycle.e_reason));
+        declare_dead t lc en vst en.Lifecycle.e_reason;
         check_degraded_floor t
       end
       else begin
@@ -781,25 +831,14 @@ let respawn t vst =
             ~max_restarts:(Lifecycle.policy lc).Lifecycle.max_restarts
         | None -> ()
       end;
-      vst.vrole <- Follower;
-      vst.table <- Syscall_table.follower;
+      reset_shape vst ~ntuples:t.ntuples ~leading:false;
       vst.main_proc <- None;
       vst.unit_procs <- [||];
       vst.all_procs <- [];
       vst.apis <- [];
-      vst.consumers <- Array.make t.ntuples None;
-      vst.clocks <- Array.init t.ntuples (fun _ -> Lamport.create ());
-      vst.promoted <- Array.make nunits false;
-      vst.unit_tuple <-
-        (match shape.Variant.unit_kind with
-        | Variant.Thread -> Array.make nunits 0
-        | Variant.Process -> Array.init nunits Fun.id);
-      vst.unit_tid <- Array.init nunits Fun.id;
       Hashtbl.reset vst.partial_consumed;
       vst.drop_release <- false;
       vst.incarnation <- vst.incarnation + 1;
-      vst.catchup_pos <- Array.make t.ntuples 0;
-      vst.catchup_until <- Array.make t.ntuples (-1);
       vst.alive <- true;
       vst.pending_restore <- None;
       (* The live consumer's cursor parks at the ring head; the recorded
@@ -809,19 +848,8 @@ let respawn t vst =
          stream's stamp. *)
       List.iter
         (fun tu ->
-          let remote_tu = remote && tu = 0 in
-          let ring =
-            match t.net with
-            | Some ns when remote_tu -> ns.n_mirror
-            | _ -> t.rings.(tu)
-          in
-          let base =
-            match t.net with
-            | Some ns when remote_tu -> ns.n_base
-            | _ -> 0
-          in
-          let head = base + Ring.published ring in
-          let c = Ring.subscribe ring in
+          let head = source_head t vst.idx tu in
+          let c = Ring.subscribe (source_ring t vst.idx tu) in
           vst.consumers.(tu) <- Some c;
           let start =
             match restore with
@@ -846,7 +874,7 @@ let respawn t vst =
              collide with the local ring's); remote rejoins are audited
              end to end by the harness digests instead. *)
           match t.oracle with
-          | Some o when not remote_tu ->
+          | Some o when Option.is_none (stream_source t vst.idx tu) ->
             Oracle.note_rejoin o ~idx:vst.idx ~tuple:tu
               ~cid:(Ring.consumer_cid c) ~splice_seq:head
           | _ -> ())
@@ -867,7 +895,7 @@ let respawn t vst =
          the catch-up still replays the recorded prefix, and the variant
          promotes itself once the stream drains. A remote follower never
          leads — it cannot publish into the local ring. *)
-      if (not t.vstates.(t.leader_idx).alive) && not remote then
+      if (not t.vstates.(t.leader_idx).alive) && not (is_remote t vst.idx) then
         t.leader_idx <- vst.idx;
       (match t.zygote with
       | Some z -> ignore (Zygote.fork_request z vst.variant.Variant.v_name)
@@ -892,7 +920,7 @@ let quarantine_work t vst =
       Array.iteri
         (fun tu c ->
           match c with
-          | Some c when not (is_remote t vst.idx && tu = 0) ->
+          | Some c when Option.is_none (stream_source t vst.idx tu) ->
             (* Mirror-ring consumers live outside the oracle's tuple
                map; noting their cids would collide with ring 0's. *)
             Oracle.note_quarantine o ~idx:vst.idx ~tuple:tu
@@ -900,22 +928,10 @@ let quarantine_work t vst =
           | _ -> ())
         vst.consumers
     | None -> ());
-    vst.alive <- false;
-    stream_remove t vst;
-    Array.fill vst.catchup_until 0 (Array.length vst.catchup_until) (-1);
-    kill_variant t vst Varan_kernel.Flags.sigkill;
-    (* The leader may be parked on this follower's gate or a fork
-       rendezvous; both re-examine the world when woken. *)
-    poke_all t;
-    E.Cond.broadcast t.ready_cond;
+    evict t [ vst ];
     if en.Lifecycle.e_restarts >= p.Lifecycle.max_restarts then begin
-      Lifecycle.transition lc en Lifecycle.Dead;
-      ignore
-        (Flight.maybe_dump t.fl ~at:(E.now t.k.Types.eng)
-           ~reason:
-             (Printf.sprintf
-                "follower %d dead: restart budget exhausted (%s)" vst.idx
-                en.Lifecycle.e_reason));
+      declare_dead t lc en vst
+        (Printf.sprintf "restart budget exhausted (%s)" en.Lifecycle.e_reason);
       check_degraded_floor t
     end
     else begin
@@ -944,20 +960,16 @@ let quarantine_work t vst =
    burns — the follower is presumed healthy behind a broken wire.
    Returns the parked vstates for {!unreachable_work}. *)
 let begin_unreachable t ~reason =
-  match (t.net, t.lifecycle) with
-  | Some ns, Some lc ->
+  match t.lifecycle with
+  | Some lc ->
     Array.fold_left
       (fun acc vst ->
-        if ns.n_remote.(vst.idx) && vst.idx <> t.leader_idx && vst.alive
+        if is_remote t vst.idx && vst.idx <> t.leader_idx && vst.alive
         then begin
           let en = Lifecycle.entry lc vst.idx in
           match Lifecycle.state en with
           | Lifecycle.Healthy | Lifecycle.Lagging | Lifecycle.Catching_up ->
-            en.Lifecycle.e_reason <- reason;
-            (match stream_position t vst 0 with
-            | Some s -> en.Lifecycle.e_quarantine_seq <- s
-            | None -> ());
-            Lifecycle.transition lc en Lifecycle.Unreachable;
+            park t lc en vst ~reason Lifecycle.Unreachable;
             vst :: acc
           | _ -> acc
         end
@@ -976,15 +988,7 @@ let unreachable_work t parked =
   | None -> ()
   | Some ns ->
     Bridge.detach ns.n_bridge;
-    List.iter
-      (fun vst ->
-        vst.alive <- false;
-        stream_remove t vst;
-        Array.fill vst.catchup_until 0 (Array.length vst.catchup_until) (-1);
-        kill_variant t vst Varan_kernel.Flags.sigkill)
-      parked;
-    poke_all t;
-    E.Cond.broadcast t.ready_cond;
+    evict t parked;
     check_degraded_floor t
 
 (* A partition healed: the first ack to reach the detached bridge fires
@@ -997,7 +1001,7 @@ let heal_work t =
   match (t.net, t.lifecycle) with
   | Some ns, Some lc when Bridge.detached ns.n_bridge ->
     let remote_future vst =
-      ns.n_remote.(vst.idx)
+      is_remote t vst.idx
       && vst.idx <> t.leader_idx
       && Lifecycle.state (Lifecycle.entry lc vst.idx) <> Lifecycle.Dead
     in
@@ -1035,13 +1039,19 @@ let heal_work t =
         (Printf.sprintf "epoch %d base %d" ns.n_epoch head);
       Array.iter
         (fun vst ->
-          if ns.n_remote.(vst.idx) && vst.idx <> t.leader_idx then begin
+          if is_remote t vst.idx && vst.idx <> t.leader_idx then begin
             let en = Lifecycle.entry lc vst.idx in
             if Lifecycle.state en = Lifecycle.Unreachable then respawn t vst
           end)
         t.vstates
     end
   | _ -> ()
+
+(* Cycles of bridge window stall before the watchdog declares the link
+   down. The threshold sits above the lifecycle [stall_timeout] so an
+   individually-stuck remote follower is quarantined (its problem) before
+   the link is declared down (everyone's problem). *)
+let unreachable_after = 300_000
 
 (* The watchdog: runs in scheduler context from the engine ticker. Pure
    reads and state transitions only; the effectful quarantine is
@@ -1056,16 +1066,11 @@ let watchdog_tick t =
        for [unreachable_after] means the remote node is partitioned
        away. Park its followers in [Unreachable] — distinct from a sick
        follower's quarantine: no restart budget burns, and the respawn
-       waits for a heal probe instead of a backoff timer. The threshold
-       sits above [stall_timeout] so an individually-stuck remote
-       follower is quarantined (its problem) before the link is declared
-       down (everyone's problem). *)
+       waits for a heal probe instead of a backoff timer. *)
     (match t.net with
     | Some ns when not (Bridge.detached ns.n_bridge) -> (
       match Bridge.stalled_since ns.n_bridge with
-      | Some t0
-        when Int64.sub now t0
-             >= Int64.of_int ns.n_cfg.Config.unreachable_after ->
+      | Some t0 when Int64.sub now t0 >= Int64.of_int unreachable_after ->
         let reason =
           Printf.sprintf "link degraded: no ack for %Ld cycles"
             (Int64.sub now t0)
@@ -1254,32 +1259,31 @@ let handle_crash t vst exn =
 (* Cost charging helpers                                               *)
 (* ------------------------------------------------------------------ *)
 
+let charge_trap t vst =
+  vst.st.trap_dispatches <- vst.st.trap_dispatches + 1;
+  E.consume t.cost.Cost.intercept_int
+
+let charge_jump t vst sysno =
+  vst.st.jump_dispatches <- vst.st.jump_dispatches + 1;
+  E.consume
+    (max 0 (t.cost.Cost.intercept_jump + t.cost.Cost.intercept_extra sysno))
+
 let charge_interception t vst (disp : Syscall_table.disposition) sysno =
-  let c = t.cost in
   match disp with
   | Syscall_table.Virtual ->
     vst.st.vdso_dispatches <- vst.st.vdso_dispatches + 1;
-    E.consume c.Cost.intercept_vdso
+    E.consume t.cost.Cost.intercept_vdso
   | _ -> (
     match t.cfg.Config.interception with
-    | Config.Trap_only ->
-      vst.st.trap_dispatches <- vst.st.trap_dispatches + 1;
-      E.consume c.Cost.intercept_int
-    | Config.Jump_only ->
-      vst.st.jump_dispatches <- vst.st.jump_dispatches + 1;
-      E.consume (max 0 (c.Cost.intercept_jump + c.Cost.intercept_extra sysno))
+    | Config.Trap_only -> charge_trap t vst
+    | Config.Jump_only -> charge_jump t vst sysno
     | Config.Rewrite ->
       vst.trap_acc <- vst.trap_acc + vst.trap_share_c1000;
       if vst.trap_acc >= 1000 then begin
         vst.trap_acc <- vst.trap_acc - 1000;
-        vst.st.trap_dispatches <- vst.st.trap_dispatches + 1;
-        E.consume c.Cost.intercept_int
+        charge_trap t vst
       end
-      else begin
-        vst.st.jump_dispatches <- vst.st.jump_dispatches + 1;
-        E.consume
-          (max 0 (c.Cost.intercept_jump + c.Cost.intercept_extra sysno))
-      end)
+      else charge_jump t vst sysno)
 
 let publish_cost t disp nfollowers =
   let c = t.cost in
@@ -1346,24 +1350,64 @@ let fault_follower_hook t vst tuple =
 (* Leader path                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Active stream consumers of [tuple]: every one releases an event's
+   payload after reading it — followers, and in shared-ring mode any
+   recorder client too. Counting only followers would free a chunk under
+   the recorder's feet (readers = 0 with a lone recorder). *)
+let stream_readers t tuple nfoll =
+  match t.pump_queues with
+  | None -> Ring.active_consumers t.rings.(tuple)
+  | Some _ -> nfoll
+
+(* Does anyone consume [tuple]'s stream? With nobody (no followers, no
+   recorder) the leader skips recording entirely: running VARAN with zero
+   followers measures pure interception overhead, as in Figure 5's first
+   bars. The lifecycle recorder keeps the stream flowing even with every
+   follower quarantined or the session degraded: the tape is what a
+   respawned follower replays to splice back in. *)
+let streaming t tuple nfoll =
+  t.lifecycle <> None || stream_readers t tuple nfoll > 0
+
+(* Publish one event on [tuple]: the leader's single publish path. The
+   caller has charged its site-specific costs; this charges the futex
+   wake of waitlock sleepers when [wake] (the syscall and fork publishes
+   do, the signal publish does not) and the publish cost of [disp], then
+   stamps the event at slot-claim time, registers its payload readers,
+   tapes it with [out] as its flattened result and counts it. *)
+let publish_event t vst ~tuple ~nfoll ~wake ~disp ~out make =
+  if wake && t.waitlock_sleepers.(tuple) > 0 then
+    E.consume t.cost.Cost.waitlock_wake;
+  E.consume (publish_cost t disp nfoll);
+  (* The Lamport tick happens atomically with the slot claim: sibling
+     leader threads must not interleave between stamping and writing, or
+     followers would observe out-of-order timestamps (Figure 3). *)
+  Ring.publish_k t.rings.(tuple) (fun () ->
+      let event = make (Lamport.tick vst.clocks.(tuple)) in
+      register_payload t event (stream_readers t tuple nfoll);
+      (* Tape capture flattens the payload now, from the leader's own
+         result buffer — the pool chunk may be recycled long before a
+         respawned follower replays this entry. *)
+      if t.lifecycle <> None then Tape.append t.tapes.(tuple) event ~out;
+      event);
+  vst.st.events_published <- vst.st.events_published + 1
+
+(* Syscall arguments as the integers a stream event and a rewrite rule
+   see. *)
+let int_of_arg = function
+  | Args.Int n -> n
+  | Args.Str _ -> 1
+  | Args.Buf_in b -> Bytes.length b
+  | Args.Buf_out n -> n
+
 let leader_execute_and_record t vst ~unit_idx ~tuple proc
     (disp : Syscall_table.disposition) sysno args =
   fault_leader_hook t vst proc tuple;
   let c = t.cost in
   let is_exit = sysno = Sysno.Exit || sysno = Sysno.Exit_group in
   let nfoll = alive_followers t in
-  (* With nobody consuming the stream (no followers, no recorder), the
-     leader skips recording entirely: running VARAN with zero followers
-     measures pure interception overhead, as in Figure 5's first bars. *)
-  let nconsumers =
-    match t.pump_queues with
-    | None -> Ring.active_consumers t.rings.(tuple)
-    | Some _ -> nfoll
-  in
-  (* The lifecycle recorder keeps the stream flowing even with every
-     follower quarantined or the session degraded: the tape is what a
-     respawned follower replays to splice back in. *)
-  let nconsumers = if t.lifecycle <> None then max nconsumers 1 else nconsumers in
+  (* Decided at entry: the call itself may block while consumers come and
+     go. *)
+  let streams = streaming t tuple nfoll in
   let publish result =
     (* Shared-memory payload for out-buffer results. *)
     let payload, payload_len, inline_out =
@@ -1396,54 +1440,21 @@ let leader_execute_and_record t vst ~unit_idx ~tuple proc
         Some (Obj.repr g)
       | _ -> None
     in
+    let int_args =
+      Array.map int_of_arg
+        (if Array.length args > 6 then Array.sub args 0 6 else args)
+    in
     (* Followers asleep in a waitlock need a futex wake — a real system
        call on the leader's fast path (§3.3.1). *)
-    if t.waitlock_sleepers.(tuple) > 0 then E.consume c.Cost.waitlock_wake;
-    E.consume (publish_cost t disp nfoll);
-    let int_args =
-      Array.map
-        (function
-          | Args.Int n -> n
-          | Args.Str _ -> 1
-          | Args.Buf_in b -> Bytes.length b
-          | Args.Buf_out n -> n)
-        args
-    in
-    let int_args =
-      if Array.length int_args > 6 then Array.sub int_args 0 6 else int_args
-    in
-    (* The Lamport tick happens atomically with the slot claim: sibling
-       leader threads must not interleave between stamping and writing,
-       or followers would observe out-of-order timestamps (Figure 3). *)
-    stream_publish_k t tuple (fun () ->
-        let clockv = Lamport.tick vst.clocks.(tuple) in
-        let event =
-          Event.make
-            ~kind:(if is_exit then Event.Ev_exit else Event.Ev_syscall)
-            ~tid:vst.unit_tid.(unit_idx) ~args:int_args ~ret:result.Args.ret
-            ?payload
-            ~payload_len ?inline_out ?grant ~clock:clockv
-            (Sysno.to_int sysno)
-        in
-        (* Every active stream consumer releases the payload after
-           reading it — followers, and in shared-ring mode any recorder
-           client too. Counting only followers would free a chunk under
-           the recorder's feet (readers = 0 with a lone recorder). *)
-        let readers =
-          match t.pump_queues with
-          | None -> Ring.active_consumers t.rings.(tuple)
-          | Some _ -> nfoll
-        in
-        register_payload t event readers;
-        (* Tape capture flattens the payload now, from the leader's own
-           result buffer — the pool chunk may be recycled long before a
-           respawned follower replays this entry. *)
-        if t.lifecycle <> None then
-          Tape.append t.tapes.(tuple) event ~out:result.Args.out;
-        event);
-    vst.st.events_published <- vst.st.events_published + 1
+    publish_event t vst ~tuple ~nfoll ~wake:true ~disp ~out:result.Args.out
+      (fun clock ->
+        Event.make
+          ~kind:(if is_exit then Event.Ev_exit else Event.Ev_syscall)
+          ~tid:vst.unit_tid.(unit_idx) ~args:int_args ~ret:result.Args.ret
+          ?payload ~payload_len ?inline_out ?grant ~clock
+          (Sysno.to_int sysno))
   in
-  let publish result = if nconsumers > 0 then publish result in
+  let publish result = if streams then publish result in
   if is_exit then begin
     (* Publish before executing: the kernel-side exit never returns. *)
     publish (Args.ok 0);
@@ -1459,9 +1470,8 @@ let leader_execute_and_record t vst ~unit_idx ~tuple proc
 (* Follower path                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let charge_wait_cost t vst sysno blocked_cycles ~slept =
+let charge_wait_cost t vst blocked_cycles ~slept =
   let c = t.cost in
-  ignore sysno;
   vst.st.stall_blocks <- vst.st.stall_blocks + 1;
   vst.st.stall_cycles <- Int64.add vst.st.stall_cycles blocked_cycles;
   let charge = if slept then c.Cost.waitlock_block else c.Cost.spin_check in
@@ -1490,7 +1500,7 @@ let follower_wait t vst tuple sysno =
       (* A remote follower sleeps on the mirror ring; its wake is the
          bridge receiver's publish, not a leader-side futex — don't make
          the leader pay for it. *)
-      let counted = not (tuple = 0 && is_remote t vst.idx) in
+      let counted = Option.is_none (stream_source t vst.idx tuple) in
       if counted then
         t.waitlock_sleepers.(tuple) <- t.waitlock_sleepers.(tuple) + 1;
       Fun.protect
@@ -1502,7 +1512,7 @@ let follower_wait t vst tuple sysno =
     end
   in
   let blocked = Int64.sub (E.now_cycles ()) t0 in
-  charge_wait_cost t vst sysno blocked ~slept
+  charge_wait_cost t vst blocked ~slept
 
 (* Wait until this unit's stream has an event addressed to this unit.
    Raises [Promote] when the variant has been elected leader and the
@@ -1517,49 +1527,53 @@ let rec await_event t vst ~unit_idx ~tuple sysno =
     Lanes.pump ln;
     match Lanes.peek ln ~tid:vst.unit_tid.(unit_idx) with
     | Some e -> e
+    | None when t.leader_idx <> vst.idx ->
+      wait_or_degrade t vst ~unit_idx ~tuple sysno
+    | None when Lanes.is_empty ln ->
+      (* A just-run pump plus empty lanes means the ring is drained too (a
+         sync event would have been routed): promotion-safe. *)
+      raise Promote
     | None ->
-      if t.leader_idx = vst.idx then
-        if Lanes.is_empty ln then
-          (* A just-run pump plus empty lanes means the ring is drained
-             too (a sync event would have been routed): promotion-safe. *)
-          raise Promote
-        else begin
-          (* Elected, but siblings still hold routed events that must be
-             replayed before this variant leads; their last consume pokes
-             the ring. *)
-          stream_wait t vst tuple;
-          await_event t vst ~unit_idx ~tuple sysno
-        end
-      else if not t.vstates.(t.leader_idx).alive && alive_followers t = 0
-      then begin
-        degrade t "no leader remains";
-        raise E.Killed
-      end
-      else begin
-        follower_wait t vst tuple sysno;
-        await_event t vst ~unit_idx ~tuple sysno
-      end)
+      (* Elected, but siblings still hold routed events that must be
+         replayed before this variant leads; their last consume pokes the
+         ring. *)
+      wait_for_siblings t vst ~unit_idx ~tuple sysno)
   | _ -> (
     match stream_peek t vst tuple with
     | Some e when e.Event.tid = vst.unit_tid.(unit_idx) -> e
     | Some _ ->
       (* Head event belongs to a sibling thread; wait for it to advance. *)
-      stream_wait t vst tuple;
-      await_event t vst ~unit_idx ~tuple sysno
-    | None ->
-      if t.leader_idx = vst.idx then raise Promote
-      else if not t.vstates.(t.leader_idx).alive && alive_followers t = 0
-      then begin
-        (* Nobody can feed this stream again: degrade to native execution
-           with a reported reason and unwind this unit quietly instead of
-           escaping with Divergence_kill. *)
-        degrade t "no leader remains";
-        raise E.Killed
-      end
-      else begin
-        follower_wait t vst tuple sysno;
-        await_event t vst ~unit_idx ~tuple sysno
-      end)
+      wait_for_siblings t vst ~unit_idx ~tuple sysno
+    | None when t.leader_idx = vst.idx -> raise Promote
+    | None -> wait_or_degrade t vst ~unit_idx ~tuple sysno)
+
+and wait_for_siblings t vst ~unit_idx ~tuple sysno =
+  stream_wait t vst tuple;
+  await_event t vst ~unit_idx ~tuple sysno
+
+(* Nothing for this follower yet. If nobody can feed the stream again,
+   degrade to native execution with a reported reason and unwind this
+   unit quietly instead of escaping with Divergence_kill; otherwise wait
+   for the leader and retry. *)
+and wait_or_degrade t vst ~unit_idx ~tuple sysno =
+  if (not t.vstates.(t.leader_idx).alive) && alive_followers t = 0 then begin
+    degrade t "no leader remains";
+    raise E.Killed
+  end
+  else begin
+    follower_wait t vst tuple sysno;
+    await_event t vst ~unit_idx ~tuple sysno
+  end
+
+(* Consume a control event — a signal delivery or a fork — at the head of
+   this unit's stream. With lanes the clock check already ran at demux
+   time (in stream order). *)
+let take_control_event t vst ~tuple ~tid (e : Event.t) =
+  if not (lanes_active vst tuple) then
+    ignore (Lamport.try_advance vst.clocks.(tuple) e.Event.clock);
+  stream_advance t vst tuple ~tid;
+  E.consume t.cost.Cost.consume_event;
+  vst.st.events_consumed <- vst.st.events_consumed + 1
 
 let decode_event_result t vst (disp : Syscall_table.disposition) proc
     (e : Event.t) : Args.result =
@@ -1604,10 +1618,10 @@ let log_divergence t vst (e : Event.t) sysno verdict =
     in
     t.divergence_log <-
       {
-        dv_variant = vst.variant.Variant.v_name;
-        dv_follower_call = Sysno.name sysno;
-        dv_leader_event = leader_name;
-        dv_verdict = verdict;
+        d_variant = vst.variant.Variant.v_name;
+        d_follower_call = Sysno.name sysno;
+        d_leader_event = leader_name;
+        d_verdict = verdict;
       }
       :: t.divergence_log;
     t.divergence_log_len <- t.divergence_log_len + 1
@@ -1624,15 +1638,7 @@ let run_rewrite_rule t vst (e : Event.t) sysno args =
             | Some s -> Sysno.name s
             | None -> string_of_int e.Event.sysno)))
   | Some prog ->
-    let int_args =
-      Array.map
-        (function
-          | Args.Int n -> n
-          | Args.Str _ -> 1
-          | Args.Buf_in b -> Bytes.length b
-          | Args.Buf_out n -> n)
-        args
-    in
+    let int_args = Array.map int_of_arg args in
     (* Rules are compiled once per variant on first divergence; each
        subsequent event pays neither verification nor dispatch. *)
     let compiled =
@@ -1671,17 +1677,12 @@ let rec follower_replay t vst ~unit_idx ~tuple proc
   let tid = vst.unit_tid.(unit_idx) in
   (* With lanes the clock check already ran at demux time (in stream
      order); per-tid consumption order would trip it here. *)
-  let check_clock = t.cfg.Config.enforce_clock_order
-                    && not (lanes_active vst tuple) in
+  let check_clock = not (lanes_active vst tuple) in
   let pkey = partial_key vst tuple ~tid in
   if e.Event.kind = Event.Ev_signal then begin
     (* A signal the leader received at this point in the stream: consume
        the event and run our own handler, then resume the pending call. *)
-    if check_clock then
-      ignore (Lamport.try_advance vst.clocks.(tuple) e.Event.clock);
-    stream_advance t vst tuple ~tid;
-    E.consume t.cost.Cost.consume_event;
-    vst.st.events_consumed <- vst.st.events_consumed + 1;
+    take_control_event t vst ~tuple ~tid e;
     run_signal_handler proc e.Event.sysno;
     follower_replay t vst ~unit_idx ~tuple proc disp sysno args
   end
@@ -1790,11 +1791,7 @@ let do_promote t vst ~unit_idx ~tuple =
   (* A leader does not demultiplex: lanes go away with the consumer
      (they are empty here — promotion requires a drained stream — so the
      drain is a safety net for the payload invariant). *)
-  (match vst.lanes with
-  | Some ln ->
-    List.iter (release_payload t) (Lanes.drain ln);
-    vst.lanes <- None
-  | None -> ());
+  drop_lanes t vst;
   (match t.pump_queues with
   | None -> (
     match vst.consumers.(tuple) with
@@ -1830,25 +1827,11 @@ let do_promote t vst ~unit_idx ~tuple =
    the same stream position (§2.2). *)
 let leader_publish_signal t vst ~unit_idx ~tuple signo =
   let nfoll = alive_followers t in
-  let nconsumers =
-    match t.pump_queues with
-    | None -> Ring.active_consumers t.rings.(tuple)
-    | Some _ -> nfoll
-  in
-  let nconsumers = if t.lifecycle <> None then max nconsumers 1 else nconsumers in
-  if nconsumers > 0 then begin
-    E.consume (publish_cost t Syscall_table.Stream nfoll);
-    stream_publish_k t tuple (fun () ->
-        let clockv = Lamport.tick vst.clocks.(tuple) in
-        let event =
-          Event.make ~kind:Event.Ev_signal ~tid:vst.unit_tid.(unit_idx)
-            ~clock:clockv signo
-        in
-        if t.lifecycle <> None then
-          Tape.append t.tapes.(tuple) event ~out:None;
-        event);
-    vst.st.events_published <- vst.st.events_published + 1
-  end
+  if streaming t tuple nfoll then
+    publish_event t vst ~tuple ~nfoll ~wake:false ~disp:Syscall_table.Stream
+      ~out:None (fun clock ->
+        Event.make ~kind:Event.Ev_signal ~tid:vst.unit_tid.(unit_idx) ~clock
+          signo)
 
 let interposed t vst ~unit_idx proc sysno args =
   let tuple = tuple_of_unit vst unit_idx in
@@ -1979,6 +1962,18 @@ let prepare_image t vst =
   vst.spawn_preps <- vst.spawn_preps + 1;
   Prof.region_exit Phase.rewrite reg
 
+(* Run an execution unit's body as a task of [proc]. A task surviving from
+   a superseded incarnation must not crash the respawned one. *)
+let spawn_unit t vst ~name proc body =
+  let incarnation = vst.incarnation in
+  let tid =
+    E.spawn_here ~name (fun () ->
+        try body () with
+        | E.Killed -> ()
+        | exn -> if vst.incarnation = incarnation then handle_crash t vst exn)
+  in
+  K.register_task t.k proc tid
+
 (* Build the monitor-interposed API for one execution unit, including the
    NVX fork hook (§3.3.3). *)
 let rec make_unit_api t vst ~unit_idx proc =
@@ -2036,17 +2031,9 @@ and nvx_fork t vst ~unit_idx parent_proc body =
     let child_unit = new_unit vst ~tuple:new_tu ~tid:0 ~promoted in
     let child_api = make_unit_api t vst ~unit_idx:child_unit child_proc in
     vst.all_procs <- child_proc :: vst.all_procs;
-    let incarnation = vst.incarnation in
-    let tid =
-      E.spawn_here ~name:child_name (fun () ->
-          try
-            pre ();
-            body child_api
-          with
-          | E.Killed -> ()
-          | exn -> if vst.incarnation = incarnation then handle_crash t vst exn)
-    in
-    K.register_task t.k child_proc tid
+    spawn_unit t vst ~name:child_name child_proc (fun () ->
+        pre ();
+        body child_api)
   in
   let leading = t.leader_idx = vst.idx && vst.promoted.(unit_idx) in
   if leading then begin
@@ -2054,27 +2041,15 @@ and nvx_fork t vst ~unit_idx parent_proc body =
     let new_tu = new_tuple t in
     let child_proc = K.fork_proc t.k parent_proc child_name in
     E.consume (t.cost.Cost.native_base Sysno.Fork);
+    (* [new_tuple] rejects event-pump mode, so the stream's readers here
+       are exactly the ring's active consumers. *)
     let nfoll = alive_followers t in
-    let nconsumers = Ring.active_consumers t.rings.(tuple) in
-    let nconsumers =
-      if t.lifecycle <> None then max nconsumers 1 else nconsumers
-    in
-    if nconsumers > 0 then begin
-      if t.waitlock_sleepers.(tuple) > 0 then
-        E.consume t.cost.Cost.waitlock_wake;
-      E.consume (publish_cost t Syscall_table.Stream nfoll);
-      stream_publish_k t tuple (fun () ->
-          let clockv = Lamport.tick vst.clocks.(tuple) in
-          let event =
-            Event.make ~kind:Event.Ev_fork ~tid:vst.unit_tid.(unit_idx)
-              ~args:[| new_tu |] ~ret:child_proc.Types.pid ~clock:clockv
-              (Sysno.to_int Sysno.Fork)
-          in
-          if t.lifecycle <> None then
-            Tape.append t.tapes.(tuple) event ~out:None;
-          event);
-      vst.st.events_published <- vst.st.events_published + 1
-    end;
+    if streaming t tuple nfoll then
+      publish_event t vst ~tuple ~nfoll ~wake:true ~disp:Syscall_table.Stream
+        ~out:None (fun clock ->
+          Event.make ~kind:Event.Ev_fork ~tid:vst.unit_tid.(unit_idx)
+            ~args:[| new_tu |] ~ret:child_proc.Types.pid ~clock
+            (Sysno.to_int Sysno.Fork));
     (* "The leader then continues execution, but the coordinator waits
        until all followers fork", so the child only starts once every
        live follower has subscribed to the new ring. *)
@@ -2097,11 +2072,7 @@ and nvx_fork t vst ~unit_idx parent_proc body =
         raise
           (Divergence_kill
              "follower called fork but the leader streamed another event");
-      if t.cfg.Config.enforce_clock_order && not (lanes_active vst tuple) then
-        ignore (Lamport.try_advance vst.clocks.(tuple) e.Event.clock);
-      stream_advance t vst tuple ~tid:vst.unit_tid.(unit_idx);
-      E.consume t.cost.Cost.consume_event;
-      vst.st.events_consumed <- vst.st.events_consumed + 1;
+      take_control_event t vst ~tuple ~tid:vst.unit_tid.(unit_idx) e;
       let new_tu = e.Event.args.(0) in
       let child_proc = K.fork_proc t.k parent_proc child_name in
       E.consume (t.cost.Cost.native_base Sysno.Fork);
@@ -2142,7 +2113,6 @@ let start_units t vst =
     Array.fold_left
       (fun acc p -> if List.memq p acc then acc else p :: acc)
       vst.all_procs vst.unit_procs;
-  let incarnation = vst.incarnation in
   for u = 0 to nunits - 1 do
     let proc = vst.unit_procs.(u) in
     let api = make_unit_api t vst ~unit_idx:u proc in
@@ -2155,19 +2125,10 @@ let start_units t vst =
       api.Api.resume_state <- Some cp.Checkpoint.cp_state;
       vst.pending_restore <- None
     | _ -> ());
-    let task_name =
-      Printf.sprintf "%s.unit%d" vst.variant.Variant.v_name u
-    in
-    let tid =
-      E.spawn_here ~name:task_name (fun () ->
-          try program.Variant.body ~unit_idx:u api with
-          | E.Killed -> ()
-          | exn ->
-            (* A task surviving from a superseded incarnation must not
-               crash the respawned one. *)
-            if vst.incarnation = incarnation then handle_crash t vst exn)
-    in
-    K.register_task t.k proc tid
+    spawn_unit t vst
+      ~name:(Printf.sprintf "%s.unit%d" vst.variant.Variant.v_name u)
+      proc
+      (fun () -> program.Variant.body ~unit_idx:u api)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -2249,10 +2210,6 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
       "Session.launch: the follower lifecycle manager requires shared-ring \
        streaming";
   let ring_size = effective_ring_size config in
-  let rings =
-    Array.init ntuples (fun i ->
-        Ring.create ~size:ring_size (Printf.sprintf "ring%d" i))
-  in
   let pump_queues =
     match config.Config.streaming with
     | Config.Shared_ring -> None
@@ -2266,49 +2223,43 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
   let vstates =
     Array.mapi
       (fun idx variant ->
-        {
-          idx;
-          variant;
-          vrole = (if idx = 0 then Leader else Follower);
-          main_proc = None;
-          unit_procs = [||];
-          consumers = Array.make ntuples None;
-          lanes = None;
-          compiled_rules = None;
-          clocks =
-            (match shape.Variant.unit_kind with
-            | Variant.Thread ->
-              let c = Lamport.create () in
-              Array.make ntuples c
-            | Variant.Process ->
-              Array.init ntuples (fun _ -> Lamport.create ()));
-          promoted = Array.make shape.Variant.units (idx = 0);
-          unit_tuple =
-            (match shape.Variant.unit_kind with
-            | Variant.Thread -> Array.make shape.Variant.units 0
-            | Variant.Process -> Array.init shape.Variant.units Fun.id);
-          unit_tid = Array.init shape.Variant.units Fun.id;
-          partial_consumed = Hashtbl.create 4;
-          drop_release = false;
-          alive = true;
-          catchup_pos = Array.make ntuples 0;
-          catchup_until = Array.make ntuples (-1);
-          incarnation = 0;
-          all_procs = [];
-          table =
-            (if idx = 0 then Syscall_table.leader else Syscall_table.follower);
-          trap_share_c1000 = 0;
-          rewrite = None;
-          trap_acc = 0;
-          pristine_code = None;
-          spawn_ns = 0.;
-          spawn_preps = 0;
-          st = fresh_vstats ();
-          apis = [];
-          checkpoint_due = false;
-          last_checkpoint_at = 0L;
-          pending_restore = None;
-        })
+        let vst =
+          {
+            idx;
+            variant;
+            vrole = Follower;
+            main_proc = None;
+            unit_procs = [||];
+            consumers = [||];
+            lanes = None;
+            compiled_rules = None;
+            clocks = [||];
+            promoted = [||];
+            unit_tuple = [||];
+            unit_tid = [||];
+            partial_consumed = Hashtbl.create 4;
+            drop_release = false;
+            alive = true;
+            catchup_pos = [||];
+            catchup_until = [||];
+            incarnation = 0;
+            all_procs = [];
+            table = Syscall_table.follower;
+            trap_share_c1000 = 0;
+            rewrite = None;
+            trap_acc = 0;
+            pristine_code = None;
+            spawn_ns = 0.;
+            spawn_preps = 0;
+            st = fresh_vstats ();
+            apis = [];
+            checkpoint_due = false;
+            last_checkpoint_at = 0L;
+            pending_restore = None;
+          }
+        in
+        reset_shape vst ~ntuples ~leading:(idx = 0);
+        vst)
       variants
   in
   let t =
@@ -2316,9 +2267,9 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
       k;
       cfg = config;
       cost = config.Config.cost;
-      pool = Pool.create ~pool_bytes:config.Config.pool_bytes ();
+      pool = Pool.create ();
       ntuples;
-      rings;
+      rings = [||];
       pump_queues;
       vstates;
       leader_idx = 0;
@@ -2336,18 +2287,15 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
         (match config.Config.lifecycle with
         | Some p -> Some (Lifecycle.create ?scope p ~variants:nvariants)
         | None -> None);
-      tapes =
-        (match config.Config.lifecycle with
-        | Some _ -> Array.init ntuples (fun _ -> Tape.create ())
-        | None -> [||]);
+      tapes = [||];
       (* The checkpoint store stays per-session even under a shared hub:
          snapshots are keyed by variant index, which collides across
          sessions. Only the zygote and the rewrite cache are shared. *)
       checkpoints = Checkpoint.create ?scope ();
       degraded = None;
       max_lag = 0;
-      waitlock_sleepers = Array.make ntuples 0;
-      tuple_ready = Array.make ntuples 0;
+      waitlock_sleepers = [||];
+      tuple_ready = [||];
       ready_cond = E.Cond.create "fork-ready";
       divergence_log = [];
       divergence_log_len = 0;
@@ -2378,18 +2326,9 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
                  from_ to_ (Trace.json_escape reason))
             ("lifecycle:" ^ to_))
   | None -> ());
-  (match t.oracle with
-  | Some o ->
-    Array.iteri
-      (fun i ring ->
-        Oracle.attach_ring o ~tuple:i ring;
-        (* Every producer stall reports the consumers holding the gate:
-           the oracle flags any that were quarantined — the leader must
-           never again wait on one. *)
-        Ring.set_stall_hook ring
-          (Some (fun cids -> Oracle.note_gate_wait o ~tuple:i ~cids)))
-      rings
-  | None -> ());
+  for tu = 0 to ntuples - 1 do
+    setup_tuple t tu
+  done;
   (* Distributed mode: carve the last [remote_followers] variants onto a
      simulated remote node behind the cross-node ring bridge. Must wire
      up before the first publish on ring 0 — the bridge's sender
@@ -2459,25 +2398,14 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
       e.Event.kind <> Event.Ev_syscall
       || not (List.mem e.Event.sysno reproducible)
     in
-    let cfg_b =
-      {
-        Bridge.default_config with
-        batch_max = ncfg.Config.bridge_batch;
-        window = ncfg.Config.bridge_window;
-        rto = ncfg.Config.bridge_rto;
-        rto_max = max ncfg.Config.bridge_rto Bridge.default_config.rto_max;
-      }
-    in
     let bridge =
-      Bridge.create ~local_node ~remote_node ~local:rings.(0) ~mirror
-        ~cfg:cfg_b ~latency:ncfg.Config.link_latency
-        ~cycles_per_kb:ncfg.Config.link_cycles_per_kb ~faults ~materialize
-        ~discard ~must_replicate ()
+      Bridge.create ~local_node ~remote_node ~local:t.rings.(0) ~mirror
+        ~latency:ncfg.Config.link_latency ~faults ~materialize ~discard
+        ~must_replicate ()
     in
     t.net <-
       Some
         {
-          n_cfg = ncfg;
           n_local_node = local_node;
           n_remote_node = remote_node;
           n_bridge = bridge;
@@ -2512,13 +2440,7 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
       (fun vst ->
         if vst.idx <> 0 then begin
           for tu = 0 to ntuples - 1 do
-            (* Remote followers consume tuple 0 from the bridge mirror. *)
-            let ring =
-              match t.net with
-              | Some ns when tu = 0 && ns.n_remote.(vst.idx) -> ns.n_mirror
-              | _ -> rings.(tu)
-            in
-            vst.consumers.(tu) <- Some (Ring.subscribe ring)
+            vst.consumers.(tu) <- Some (Ring.subscribe (source_ring t vst.idx tu))
           done;
           if use_lanes then
             vst.lanes <-
@@ -2530,25 +2452,21 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
                    ~on_route:(fun e ->
                      (* The Lamport check runs here, at demux time, where
                         stream order is still visible (§3.3.3). *)
-                     if config.Config.enforce_clock_order then
-                       let ok =
-                         Lamport.try_advance vst.clocks.(0) e.Event.clock
-                       in
-                       if not ok then
-                         raise
-                           (Divergence_kill
-                              (Printf.sprintf
-                                 "clock violation at demux: at %d got stamp \
-                                  %d"
-                                 (Lamport.current vst.clocks.(0))
-                                 e.Event.clock))))
+                     if not (Lamport.try_advance vst.clocks.(0) e.Event.clock)
+                     then
+                       raise
+                         (Divergence_kill
+                            (Printf.sprintf
+                               "clock violation at demux: at %d got stamp %d"
+                               (Lamport.current vst.clocks.(0))
+                               e.Event.clock))))
         end)
       vstates
   | Some pq ->
     (* The pump is the only consumer of the leader's queues; followers
        each consume their own queue (consumer id 0 by construction). *)
     for tu = 0 to ntuples - 1 do
-      let pump_consumer = Ring.subscribe rings.(tu) in
+      let pump_consumer = Ring.subscribe t.rings.(tu) in
       Array.iter
         (fun vst ->
           if vst.idx <> 0 then begin
@@ -2740,23 +2658,7 @@ let stats t =
     link = Option.map (fun ns -> Bridge.link_stats ns.n_bridge) t.net;
   }
 
-type divergence_entry = {
-  d_variant : string;
-  d_follower_call : string;
-  d_leader_event : string;
-  d_verdict : string;
-}
-
-let divergence_log t =
-  List.rev_map
-    (fun r ->
-      {
-        d_variant = r.dv_variant;
-        d_follower_call = r.dv_follower_call;
-        d_leader_event = r.dv_leader_event;
-        d_verdict = r.dv_verdict;
-      })
-    t.divergence_log
+let divergence_log t = List.rev t.divergence_log
 
 let trace_lines t =
   match t.tracer with
@@ -2771,9 +2673,7 @@ let sample_lag t idx =
 
 let observe_lags t =
   Array.iter
-    (fun vst ->
-      if vst.alive && vst.idx <> t.leader_idx && vst.consumers.(0) <> None
-      then t.max_lag <- max t.max_lag (stream_lag t vst 0))
+    (fun vst -> t.max_lag <- max t.max_lag (sample_lag t vst.idx))
     t.vstates
 
 let tuple_ring (t : t) tu = t.rings.(tu)

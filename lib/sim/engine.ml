@@ -380,15 +380,6 @@ let total_task_cycles t =
     (fun _ task acc -> Int64.add acc (Int64.of_int (task.time - task.start)))
     t.tasks 0L
 
-(* Per-task lifetimes, for chasing down unattributed profile residue:
-   which tasks own the cycles the phase buckets missed. *)
-let task_lifetimes t =
-  Hashtbl.fold
-    (fun _ task acc ->
-      ((task.id :> int), task.name, Int64.of_int (task.time - task.start))
-      :: acc)
-    t.tasks []
-
 let maxi (a : int) b = if a > b then a else b
 
 (* Schedule the resumption of a claimed waiter's task: clear the park

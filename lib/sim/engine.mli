@@ -90,11 +90,6 @@ val total_task_cycles : t -> int64
     denominator for {!Varan_obs.Profile} coverage: the attribution
     buckets partition this quantity (minus unattributed idle). *)
 
-val task_lifetimes : t -> (int * string * int64) list
-(** Per-task [(id, name, lifetime)] triples, unordered — the per-task
-    breakdown of {!total_task_cycles}, for locating which tasks own any
-    unattributed profile residue. *)
-
 (** {1 Task-context operations}
 
     These must be called from inside a running task; calling them outside a

@@ -103,8 +103,8 @@ let gen_lifecycle_case seed =
    behind the ring bridge, mixed with the single-node lifecycle faults
    so both machineries compose. At least one follower stays local, so a
    parked remote side degrades the session only when local followers die
-   too. [unreachable_after] in {!Config.default_net} (300k) sits above
-   [lifecycle_policy.stall_timeout] (150k) by construction. *)
+   too. The session watchdog's link-down threshold (300k cycles) sits
+   above [lifecycle_policy.stall_timeout] (150k) by construction. *)
 let gen_net_case seed =
   let rng = Prng.create (seed lxor 0xD157) in
   let followers = 2 + Prng.int rng 3 in
@@ -140,11 +140,7 @@ let gen_net_case seed =
     }
   in
   let net =
-    {
-      Config.default_net with
-      Config.remote_followers = remote;
-      link_latency = 500 + Prng.int rng 3_500;
-    }
+    { Config.remote_followers = remote; link_latency = 500 + Prng.int rng 3_500 }
   in
   {
     seed;

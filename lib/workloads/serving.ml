@@ -78,7 +78,10 @@ let variants_of spec shard =
       Cache_server.port = port_base shard;
       units = spec.sv_units;
       work_cycles = spec.sv_work_cycles;
-      expected_conns = spec.sv_workers;
+      (* Every open-loop worker preconnects to every unit of every
+         shard, so each unit sees all [sv_workers] connections; the
+         server splits [expected_conns] across its units. *)
+      expected_conns = spec.sv_workers * spec.sv_units;
     }
   in
   (* Identical profile (and code seed) across shards on purpose: every
@@ -145,25 +148,19 @@ let run ?(label = "serving") spec =
      this; a routing or termination bug trips Cycle_budget instead of
      hanging the bench. *)
   E.run_until_quiescent ~cycle_budget:20_000_000_000L eng;
-  (* Residue-chasing aid for the coverage gate: per-task lifetime vs the
-     profiler's stolen ledger shows which tasks own unattributed cycles
-     (the stolen ledger excludes app-compute gap charges, so variant
-     units show their compute as "residue" — that is expected). *)
-  (if Sys.getenv_opt "VARAN_TASK_LIFETIMES" <> None then
-     let ls =
-       List.map
-         (fun (id, n, c) ->
-           let st = Varan_obs.Profile.stolen id in
-           (n, c, st, Int64.sub c st))
-         (E.task_lifetimes eng)
-       |> List.sort (fun (_, _, _, a) (_, _, _, b) -> Int64.compare b a)
-     in
-     List.iteri
-       (fun i (n, c, st, res) ->
-         if i < 40 then
-           Printf.eprintf "%-28s life %10Ld stolen %10Ld residue %10Ld\n" n c
-             st res)
-       ls);
+  (* Conservation: every counted arrival was answered or counted as an
+     error, and every worker closed its connections. A worker still
+     blocked at quiescence would otherwise lose its request silently. *)
+  let counted = spec.sv_requests - spec.sv_warmup in
+  if result.Clients.completed + result.Clients.errors <> counted then
+    failwith
+      (Printf.sprintf
+         "Serving.run: %d completed + %d errors <> %d counted requests"
+         result.Clients.completed result.Clients.errors counted);
+  if result.Clients.conns_done <> spec.sv_workers then
+    failwith
+      (Printf.sprintf "Serving.run: %d of %d workers finished"
+         result.Clients.conns_done spec.sv_workers);
   {
     o_measurement = Driver.measurement_of_result label cost result;
     o_result = result;

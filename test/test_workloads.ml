@@ -428,6 +428,28 @@ let test_sharded_pool_shares_spawn () =
         true (n > 0))
     rs.Router.per_shard
 
+(* Below saturation the open-loop workers go idle between arrivals and
+   close their connections at the end; every unit must wait for all of
+   them, or a worker is stranded in recv at quiescence and its request is
+   lost without an error. *)
+let test_light_load_conservation () =
+  let spec =
+    {
+      Serving.default with
+      Serving.sv_shards = 2;
+      sv_mean_gap_cycles = 8_000.0;
+      sv_requests = 2_000;
+    }
+  in
+  let o = Serving.run ~label:"test-light-load" spec in
+  let r = o.Serving.o_result in
+  Alcotest.(check int) "no errors" 0 r.Clients.errors;
+  Alcotest.(check int) "every post-warmup arrival completed"
+    (spec.Serving.sv_requests - spec.Serving.sv_warmup)
+    r.Clients.completed;
+  Alcotest.(check int) "every worker finished" spec.Serving.sv_workers
+    r.Clients.conns_done
+
 let () =
   Alcotest.run "varan_workloads"
     [
@@ -437,6 +459,8 @@ let () =
             test_open_loop_accounting;
           Alcotest.test_case "sharded pool shares the spawn hub" `Quick
             test_sharded_pool_shares_spawn;
+          Alcotest.test_case "light load loses no request" `Quick
+            test_light_load_conservation;
         ] );
       ( "driver",
         [
