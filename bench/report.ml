@@ -2,6 +2,8 @@
    also written under results/ so downstream tooling (plots, regression
    tracking) can consume the numbers without scraping stdout. *)
 
+module Stats = Varan_util.Stats
+
 let results_dir = "results"
 
 let ensure_dir () =
@@ -18,20 +20,6 @@ let save_csv ~name table =
 (* Machine-trackable hot-path regression record, written at the repo root
    so CI can diff the perf trajectory across PRs. *)
 let hotpath_json_path = "BENCH_hotpath.json"
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* Serving-layer trajectory (req/s vs shard count, tail latency vs
    follower count), also at the repo root for the CI scaling gate. *)
@@ -64,7 +52,7 @@ let save_serving_json rows =
          \"completed\": %d, \"errors\": %d, \"req_per_s\": %.1f, \
          \"mean_us\": %.2f, \"p50_us\": %.2f, \"p99_us\": %.2f, \
          \"p999_us\": %.2f}%s\n"
-        (json_escape r.r_name) r.r_shards r.r_followers r.r_completed
+        (Stats.json_escape r.r_name) r.r_shards r.r_followers r.r_completed
         r.r_errors r.r_req_per_s r.r_mean_us r.r_p50_us r.r_p99_us r.r_p999_us
         (if i = n - 1 then "" else ","))
     rows;
@@ -81,7 +69,7 @@ let save_hotpath_json results =
   let n = List.length results in
   List.iteri
     (fun i (name, ns) ->
-      Printf.fprintf oc "    \"%s\": %.1f%s\n" (json_escape name) ns
+      Printf.fprintf oc "    \"%s\": %.1f%s\n" (Stats.json_escape name) ns
         (if i = n - 1 then "" else ","))
     results;
   output_string oc "  }\n}\n";

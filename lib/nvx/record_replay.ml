@@ -15,113 +15,28 @@ module Pool = Varan_shmem.Pool
 (* Log format                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* One record:
-     u8  kind        u8 tid       u16 nargs (low 3 bits used)
-     i32 sysno       i32 clock    i64 ret
-     i64 args[nargs]
-     i32 outlen      bytes out *)
-
-let kind_to_int = function
-  | Event.Ev_syscall -> 0
-  | Event.Ev_signal -> 1
-  | Event.Ev_fork -> 2
-  | Event.Ev_exit -> 3
-
-let kind_of_int = function
-  | 0 -> Event.Ev_syscall
-  | 1 -> Event.Ev_signal
-  | 2 -> Event.Ev_fork
-  | _ -> Event.Ev_exit
-
-(* The header is split from the payload so pooled out-buffers can be
-   appended straight out of the shared chunk ({!Pool.view} +
-   [Buffer.add_subbytes]) without materialising an intermediate copy. *)
-let serialize_header buf (e : Event.t) ~outlen =
-  Buffer.add_uint8 buf (kind_to_int e.Event.kind);
-  Buffer.add_uint8 buf e.Event.tid;
-  Buffer.add_uint16_le buf (Array.length e.Event.args);
-  Buffer.add_int32_le buf (Int32.of_int e.Event.sysno);
-  Buffer.add_int32_le buf (Int32.of_int e.Event.clock);
-  Buffer.add_int64_le buf (Int64.of_int e.Event.ret);
-  Array.iter (fun a -> Buffer.add_int64_le buf (Int64.of_int a)) e.Event.args;
-  Buffer.add_int32_le buf (Int32.of_int outlen)
-
-let serialize buf (e : Event.t) ~out =
-  let out = match out with Some b -> b | None -> Bytes.empty in
-  serialize_header buf e ~outlen:(Bytes.length out);
-  Buffer.add_bytes buf out
+(* One record per event, in the tape's byte layout ({!Tape.encode}). *)
 
 (* Bridge a lifecycle catch-up tape into the same log format: a degraded
    session's retained stream becomes an ordinary replay log from which
    fresh followers can later be provisioned. *)
 let serialize_tape tape =
   let buf = Buffer.create 4096 in
-  Tape.iter
-    (fun en -> serialize buf (Tape.event_of_entry en) ~out:en.Tape.t_out)
-    tape;
+  Tape.iter (Tape.encode buf) tape;
   Buffer.to_bytes buf
 
 type cursor = { data : Bytes.t; mutable pos : int }
 
 (* A record cut off mid-header or mid-payload (a crashed recorder, a
-   truncated log file) must decode to [None], not crash the replayer. *)
-exception Short
-
-let deserialize cur : (Event.kind * int * int * int * int * int array * Bytes.t) option =
-  let len = Bytes.length cur.data in
-  if cur.pos >= len then None
-  else begin
-    let start = cur.pos in
-    let need n = if cur.pos + n > len then raise Short in
-    let u8 () =
-      need 1;
-      let v = Char.code (Bytes.get cur.data cur.pos) in
-      cur.pos <- cur.pos + 1;
-      v
-    in
-    let u16 () =
-      need 2;
-      let v = Bytes.get_uint16_le cur.data cur.pos in
-      cur.pos <- cur.pos + 2;
-      v
-    in
-    let i32 () =
-      need 4;
-      let v = Int32.to_int (Bytes.get_int32_le cur.data cur.pos) in
-      cur.pos <- cur.pos + 4;
-      v
-    in
-    let i64 () =
-      need 8;
-      let v = Int64.to_int (Bytes.get_int64_le cur.data cur.pos) in
-      cur.pos <- cur.pos + 8;
-      v
-    in
-    try
-      let kind = kind_of_int (u8 ()) in
-      let tid = u8 () in
-      let nargs = u16 () in
-      let sysno = i32 () in
-      let clock = i32 () in
-      let ret = i64 () in
-      (* Explicit recursion: [Array.init]'s evaluation order is
-         unspecified, and the reads must land in stream order. *)
-      let args = Array.make nargs 0 in
-      for i = 0 to nargs - 1 do
-        args.(i) <- i64 ()
-      done;
-      let outlen = i32 () in
-      if outlen < 0 then raise Short;
-      need outlen;
-      let out = Bytes.sub cur.data cur.pos outlen in
-      cur.pos <- cur.pos + outlen;
-      Some (kind, tid, sysno, clock, ret, args, out)
-    with Short ->
-      (* Rewind so the caller can tell a clean end ([pos] at the data's
-         end) from a torn tail record ([pos] short of it). *)
-      cur.pos <- start;
-      None
-  end
+   truncated log file) decodes to [None] with the cursor left on it, so
+   callers can tell a clean end ([pos] at the data's end) from a torn
+   tail record ([pos] short of it). *)
+let deserialize cur =
+  match Tape.decode cur.data cur.pos with
+  | Some (e, pos) ->
+    cur.pos <- pos;
+    Some e
+  | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Time travel                                                         *)
@@ -168,7 +83,7 @@ let time_travel session ~at =
       else begin
         let delta = ref [] in
         for i = at - 1 downto start do
-          delta := Tape.event_at tape i :: !delta
+          delta := Tape.get tape i :: !delta
         done;
         Ok { tt_at = at; tt_base = base; tt_checkpoint = cp; tt_delta = !delta }
       end
@@ -233,10 +148,10 @@ let record session k ~tuple ~path =
         (* Pooled payloads go straight from the shared chunk into the
            log buffer — the single copy on the record path. *)
         Pool.view chunk ~len:e.Event.payload_len (fun data off len ->
-            serialize_header r.buf e ~outlen:len;
+            Tape.encode_header r.buf e ~outlen:len;
             Buffer.add_subbytes r.buf data off len);
         Session.release_payload session e
-      | None -> serialize r.buf e ~out:e.Event.inline_out);
+      | None -> Tape.encode r.buf e);
       r.events <- r.events + 1;
       if Buffer.length r.buf >= flush_threshold then flush r fd
     in
@@ -330,30 +245,9 @@ let replay ?(config = Config.default) k ~path variants =
          in
          read_all ();
          ignore (Api.close api fd);
+         (* Replay events carry results inline regardless of size: the
+            shared-memory pool is not reconstructed on replay. *)
          let cur = { data = Buffer.to_bytes contents; pos = 0 } in
-         let decode_one () =
-           match deserialize cur with
-           | None -> None
-           | Some (kind, tid, sysno, clock, ret, args, out) ->
-             let inline_out =
-               if Bytes.length out > 0 then Some out else None
-             in
-             (* Replay events carry results inline regardless of size:
-                the shared-memory pool is not reconstructed on replay. *)
-             Some
-               {
-                 Event.kind;
-                 sysno;
-                 tid;
-                 args;
-                 ret;
-                 clock;
-                 payload = None;
-                 payload_len = 0;
-                 inline_out;
-                 grant = None;
-               }
-         in
          (* Publish in runs of up to 64: one gate check and one consumer
             wakeup per batch; per-event publish cost is still charged. *)
          let batch_max = 64 in
@@ -362,7 +256,7 @@ let replay ?(config = Config.default) k ~path variants =
            Queue.clear scratch;
            let rec fill () =
              if Queue.length scratch < batch_max then
-               match decode_one () with
+               match deserialize cur with
                | Some e ->
                  Queue.add e scratch;
                  fill ()

@@ -42,15 +42,12 @@ val serialize_tape : Tape.t -> Bytes.t
 
 type cursor = { data : Bytes.t; mutable pos : int }
 
-val deserialize :
-  cursor ->
-  (Varan_ringbuf.Event.kind * int * int * int * int * int array * Bytes.t)
-  option
-(** Decode one record ([kind, tid, sysno, clock, ret, args, out]) and
-    advance the cursor. [None] at a clean end of data — and also on a
-    torn tail record (cut off mid-header or mid-payload), in which case
-    the cursor is left {e before} the torn record so callers can tell the
-    two apart by comparing [pos] against the data length. *)
+val deserialize : cursor -> Varan_ringbuf.Event.t option
+(** Decode one record ({!Tape.decode}: result buffer inline, no payload,
+    no grant) and advance the cursor. [None] at a clean end of data — and
+    also on a torn tail record (cut off mid-header or mid-payload), in
+    which case the cursor is left {e before} the torn record so callers
+    can tell the two apart by comparing [pos] against the data length. *)
 
 (** {1 Time travel} *)
 

@@ -75,16 +75,71 @@ let fresh_vstats () =
     injected_stalls = 0;
   }
 
+(* A process tuple (§3.3): the ring its leader publishes into, the
+   lifecycle tape recording that stream, the followers asleep in its
+   waitlock and the followers registered on it at fork time. In
+   event-pump mode [tp_pump] holds one private follower queue per
+   variant, fed from the leader's ring by the pump task. Tuples grow
+   when processes fork. *)
+type tuple = {
+  tp_ring : Event.t Ring.t;
+  tp_pump : Event.t Ring.t array; (* event pump only; [||] otherwise *)
+  tp_tape : Tape.t option; (* lifecycle manager only *)
+  mutable tp_sleepers : int; (* followers asleep in a waitlock *)
+  mutable tp_ready : int; (* followers registered on a forked tuple *)
+}
+
+(* A variant's read position on one tuple stream. [cu_src] is the ring
+   the consumer reads — the tuple's ring, the variant's pump queue or
+   the bridge's mirror — and [cu_base] the global tuple-stream sequence
+   of [cu_src]'s sequence 0; both are fixed when the cursor subscribes
+   (see {!subscribe}). The consumer handle is resolved once there too,
+   so per-event stream access is a field read. *)
+type cursor = {
+  mutable cu_consumer : Event.t Ring.consumer option;
+  mutable cu_src : Event.t Ring.t;
+  mutable cu_base : int;
+  cu_clock : Lamport.t;
+  (* Lifecycle catch-up: while [cu_until >= 0] and [cu_pos] has not
+     reached it, reads are served from the tuple tape at [cu_pos]; the
+     live consumer (already subscribed, cursor parked at the splice
+     sequence) takes over when the recorded prefix runs out. *)
+  mutable cu_pos : int;
+  mutable cu_until : int; (* -1 = live *)
+}
+
+(* One execution unit: the tuple it belongs to, its stream tid there,
+   and whether it takes the leader path. *)
+type exec_unit = { u_tuple : int; u_tid : int; mutable u_promoted : bool }
+
+(* One incarnation of a variant's process image: everything launch
+   builds and a respawn rebuilds from scratch (see {!incarnation}). *)
+type incarnation = {
+  gen : int; (* respawns of this variant's image before this one *)
+  mutable alive : bool;
+  mutable role : role;
+  mutable table : Syscall_table.t;
+  mutable cursors : cursor array; (* per tuple *)
+  mutable units : exec_unit array;
+  mutable main_proc : Types.proc option;
+  (* Every process ever created for this incarnation, so a quarantine
+     can kill the whole variant (fork children included). *)
+  mutable all_procs : Types.proc list;
+  (* Bytes of the head event already handed out to coalesced calls, keyed
+     by tuple (§2.3's coalescing pattern: a buffered leader write serves
+     several smaller follower writes). *)
+  partial_consumed : (int, int) Hashtbl.t;
+  (* One-shot flag set by a Drop_payload_grant injection: the next pool
+     payload this follower decodes is read but not released. *)
+  mutable drop_release : bool;
+  (* The snapshot a respawn chose, applied when unit 0 starts. *)
+  mutable pending_restore : Checkpoint.snapshot option;
+}
+
 type vstate = {
   idx : int;
   variant : Variant.t;
-  mutable vrole : role;
-  mutable main_proc : Types.proc option;
-  mutable unit_procs : Types.proc array;
-  (* Resolved consumer handles per tuple stream (the follower's own pump
-     queue in event-pump mode); [None] when not a consumer there. The
-     handle is looked up once at subscription, not per stream access. *)
-  mutable consumers : Event.t Ring.consumer option array;
+  mutable inc : incarnation;
   (* Per-tid event lanes demultiplexing tuple 0's consumer for
      multi-threaded variants (sharded sequencer, §3.3.3): sibling threads
      replay concurrently instead of serializing on the ring head. [None]
@@ -94,31 +149,6 @@ type vstate = {
   (* Rewrite rules compiled to a closure on first divergence; the
      interpreter stays the reference semantics (identical outcome). *)
   mutable compiled_rules : (Interp.ctx -> Interp.outcome) option;
-  mutable clocks : Lamport.t array; (* per tuple *)
-  mutable promoted : bool array; (* per unit: takes the leader path *)
-  mutable unit_tuple : int array; (* per unit: the tuple it belongs to *)
-  mutable unit_tid : int array; (* per unit: its stream tid in the tuple *)
-  (* Bytes of the head event already handed out to coalesced calls, keyed
-     by tuple (§2.3's coalescing pattern: a buffered leader write serves
-     several smaller follower writes). *)
-  partial_consumed : (int, int) Hashtbl.t;
-  (* One-shot flag set by a Drop_payload_grant injection: the next pool
-     payload this follower decodes is read but not released. *)
-  mutable drop_release : bool;
-  mutable alive : bool;
-  (* Lifecycle catch-up: while [catchup_until.(tu) >= 0] and the position
-     has not reached it, stream reads on tuple [tu] are served from the
-     session tape at [catchup_pos.(tu)]; the live ring consumer (already
-     subscribed, cursor parked at the splice sequence) takes over when
-     the recorded prefix runs out. *)
-  mutable catchup_pos : int array; (* per tuple *)
-  mutable catchup_until : int array; (* per tuple; -1 = live *)
-  mutable incarnation : int; (* respawns of this variant's image *)
-  (* Every process ever created for this variant's current incarnation,
-     so a quarantine can kill the whole variant (fork children are not
-     reachable from [unit_procs]). *)
-  mutable all_procs : Types.proc list;
-  mutable table : Syscall_table.t;
   mutable trap_share_c1000 : int;
   mutable rewrite : Rewriter.stats option;
   mutable trap_acc : int;
@@ -129,15 +159,12 @@ type vstate = {
   mutable spawn_ns : float; (* wall-clock ns spent in prepare_image, total *)
   mutable spawn_preps : int; (* prepare_image runs (1 + respawns) *)
   st : vstats;
-  mutable apis : Api.t list;
   (* Checkpoint/restore fast rejoin (rr-style): the watchdog arms
      [checkpoint_due] every [checkpoint_interval] cycles; the follower
      captures at its next syscall boundary through the program's
-     checkpoint hook. [pending_restore] carries the snapshot a respawn
-     chose, applied when the fresh incarnation's unit 0 starts. *)
+     checkpoint hook. *)
   mutable checkpoint_due : bool;
   mutable last_checkpoint_at : int64;
-  mutable pending_restore : Checkpoint.snapshot option;
 }
 
 type divergence_entry = {
@@ -152,12 +179,7 @@ type t = {
   cfg : Config.t;
   cost : Cost.t;
   pool : Pool.t;
-  mutable ntuples : int;
-  (* Shared_ring mode: one ring per tuple. Event_pump mode: the leader's
-     private queues, one per tuple. Tuples grow when processes fork. *)
-  mutable rings : Event.t Ring.t array;
-  (* Event_pump mode only: per-tuple, per-variant follower queues. *)
-  pump_queues : Event.t Ring.t array array option;
+  mutable tuples : tuple array;
   vstates : vstate array;
   mutable leader_idx : int;
   payload_refs : (int, int ref) Hashtbl.t;
@@ -174,18 +196,13 @@ type t = {
   mutable crash_list_len : int;
   mutable crash_total : int; (* crashes ever, beyond the bounded list *)
   (* Follower lifecycle manager (None = the original terminal-removal
-     behaviour). [tapes] is the per-tuple recorder feeding catch-up. *)
-  mutable lifecycle : Lifecycle.t option;
-  mutable tapes : Tape.t array;
+     behaviour); it also turns on the per-tuple tapes. *)
+  lifecycle : Lifecycle.t option;
   (* Follower checkpoint store — the same object the resident zygote
      owns, so snapshots survive the incarnations they were taken in. *)
   checkpoints : Checkpoint.t;
   mutable degraded : string option; (* native-execution fallback reason *)
   mutable max_lag : int;
-  mutable waitlock_sleepers : int array;
-      (* per tuple: followers asleep in a waitlock *)
-  mutable tuple_ready : int array;
-      (* per tuple: followers registered on a forked tuple *)
   ready_cond : E.Cond.cond;
       (* the coordinator's "wait until all followers fork" rendezvous *)
   mutable divergence_log : divergence_entry list; (* reversed, bounded *)
@@ -255,58 +272,62 @@ let release_payload t (e : Event.t) =
 (* Stream access (shared ring vs event pump)                           *)
 (* ------------------------------------------------------------------ *)
 
-let tuple_of_unit vst u = vst.unit_tuple.(u)
+let event_pump t = t.cfg.Config.streaming = Config.Event_pump
 
-(* The one "mirror or local ring?" decision. Variant [idx] consumes
-   [tuple] from the bridge's mirror ring when it is a remote follower and
-   [tuple] is 0: the result is then [Some ns], the ring [ns.n_mirror],
-   whose sequence 0 is global tuple-0 sequence [ns.n_base]. Everything
-   else consumes the local ring at global base 0 ([None]) — forked tuples
-   too (same-process license: the model is the bridge shipping their
-   deltas as well). Returns [t.net] itself, so the per-park wait path
-   allocates nothing. *)
-let stream_source t idx tuple =
+(* Remote variants live on the bridge's far node: their tuple-0 cursor
+   reads the mirror, and they are never elected leader (a leader must
+   publish into the local ring). *)
+let is_remote t idx =
+  match t.net with Some ns -> ns.n_remote.(idx) | None -> false
+
+(* A cursor reads its tuple's own ring until it subscribes. *)
+let new_cursor tp =
+  {
+    cu_consumer = None;
+    cu_src = tp.tp_ring;
+    cu_base = 0;
+    cu_clock = Lamport.create ();
+    cu_pos = 0;
+    cu_until = -1;
+  }
+
+(* The one "which ring?" decision: the ring variant [idx] consumes [tu]
+   from, and the global tuple-stream sequence of that ring's sequence 0.
+   A remote variant reads tuple 0 from the bridge's mirror, whose
+   sequence 0 is global sequence [n_base]; in event-pump mode a follower
+   drains its private queue; everything else reads the tuple's own ring
+   at base 0 — forked tuples too (same-process license: the model is the
+   bridge shipping their deltas as well). *)
+let source t idx tu =
+  let tp = t.tuples.(tu) in
   match t.net with
-  | Some ns when tuple = 0 && ns.n_remote.(idx) -> t.net
-  | _ -> None
+  | Some ns when tu = 0 && ns.n_remote.(idx) -> (ns.n_mirror, ns.n_base)
+  | _ -> ((if event_pump t then tp.tp_pump.(idx) else tp.tp_ring), 0)
 
-let is_remote t idx = Option.is_some (stream_source t idx 0)
+(* Subscribe [vst]'s cursor on [tu] to its {!source}, fixing the ring it
+   reads (and waits on) for this subscription. *)
+let subscribe t vst tu =
+  let cu = vst.inc.cursors.(tu) in
+  let src, base = source t vst.idx tu in
+  let c = Ring.subscribe src in
+  cu.cu_consumer <- Some c;
+  cu.cu_src <- src;
+  cu.cu_base <- base;
+  c
 
-let source_ring t idx tuple =
-  match stream_source t idx tuple with
-  | Some ns -> ns.n_mirror
-  | None -> t.rings.(tuple)
-
-(* The source ring's head, in global tuple-stream coordinates. *)
-let source_head t idx tuple =
-  match stream_source t idx tuple with
-  | Some ns -> ns.n_base + Ring.published ns.n_mirror
-  | None -> Ring.published t.rings.(tuple)
-
-let follower_queue t vst tuple =
-  match t.pump_queues with
-  | Some pq -> pq.(tuple).(vst.idx)
-  | None -> source_ring t vst.idx tuple
-
-(* Both streaming modes store the follower's resolved handle (shared ring
-   or private pump queue) in [vst.consumers], so the per-event accessors
-   are a single array read — no registry lookup, no mode dispatch. *)
-let stream_consumer vst tuple =
-  match vst.consumers.(tuple) with
+let consumer cu =
+  match cu.cu_consumer with
   | Some c -> c
   | None -> invalid_arg "Session: not a stream consumer on this tuple"
 
 (* Tape catch-up: a respawned follower consumes the recorded prefix
-   [catchup_pos, catchup_until) of the tuple tape before touching its
-   live ring consumer (whose cursor waits at the splice sequence). Tape
-   indices coincide with stream sequence numbers — the tape records every
+   [cu_pos, cu_until) of the tuple tape before touching its live ring
+   consumer (whose cursor waits at the splice sequence). Tape indices
+   coincide with stream sequence numbers — the tape records every
    published event from sequence 0. *)
-let in_catchup vst tuple =
-  tuple < Array.length vst.catchup_until
-  && vst.catchup_until.(tuple) >= 0
-  && vst.catchup_pos.(tuple) < vst.catchup_until.(tuple)
-
-let catchup_done vst = Array.for_all (fun u -> u < 0) vst.catchup_until
+let in_catchup cu = cu.cu_until >= 0 && cu.cu_pos < cu.cu_until
+let catchup_done vst = Array.for_all (fun cu -> cu.cu_until < 0) vst.inc.cursors
+let end_catchup vst = Array.iter (fun cu -> cu.cu_until <- -1) vst.inc.cursors
 
 (* The rejoin moment: the last recorded prefix ran out, the next read
    comes from the live ring at exactly the splice sequence. *)
@@ -331,30 +352,34 @@ let lane_sync_event (e : Event.t) =
   || e.Event.sysno = Sysno.to_int Sysno.Close
   || e.Event.sysno = Sysno.to_int Sysno.Futex
 
+(* Catch-up and live reads return the same event type: the tape keeps
+   flattened stream events. *)
 let stream_peek t vst tuple =
-  if in_catchup vst tuple then
-    Some (Tape.event_at t.tapes.(tuple) vst.catchup_pos.(tuple))
-  else Ring.peek_h (stream_consumer vst tuple)
+  let cu = vst.inc.cursors.(tuple) in
+  match t.tuples.(tuple).tp_tape with
+  | Some tape when in_catchup cu -> Some (Tape.get tape cu.cu_pos)
+  | _ -> Ring.peek_h (consumer cu)
 
 let stream_advance t vst tuple ~tid =
-  if in_catchup vst tuple then begin
-    vst.catchup_pos.(tuple) <- vst.catchup_pos.(tuple) + 1;
-    if vst.catchup_pos.(tuple) >= vst.catchup_until.(tuple) then begin
-      vst.catchup_until.(tuple) <- -1;
+  let cu = vst.inc.cursors.(tuple) in
+  if in_catchup cu then begin
+    cu.cu_pos <- cu.cu_pos + 1;
+    if cu.cu_pos >= cu.cu_until then begin
+      cu.cu_until <- -1;
       finish_rejoin t vst
     end;
     (* Tape progress is invisible to the ring, but sibling units of this
        variant park on ring activity while waiting for their tid to reach
        the head — wake them. *)
-    Ring.poke (follower_queue t vst tuple)
+    Ring.poke cu.cu_src
   end
   else
     match vst.lanes with
     | Some ln when tuple = 0 ->
       (* Consuming a lane event can unblock the demux (barrier lifted,
          lanes emptied): poke the ring so parked siblings re-pump. *)
-      if Lanes.advance ln ~tid then Ring.poke t.rings.(tuple)
-    | _ -> ignore (Ring.try_consume_h (stream_consumer vst tuple))
+      if Lanes.advance ln ~tid then Ring.poke t.tuples.(tuple).tp_ring
+    | _ -> ignore (Ring.try_consume_h (consumer cu))
 
 (* Coalescing state is per head event. With one shared cursor that means
    per tuple; with lanes every tid has its own head, so the key shards by
@@ -365,21 +390,22 @@ let partial_key vst tuple ~tid = if lanes_active vst tuple then tid else tuple
    (or a poke) arrive: that park is the ring-wait phase of the cycle
    attribution, charged here because followers wait through
    [Ring.wait_activity], not the ring's own consume stall loop. *)
-let stream_wait t vst tuple =
+let stream_wait vst tuple =
   let t0 = Prof.mark () in
-  Ring.wait_activity (follower_queue t vst tuple);
+  Ring.wait_activity vst.inc.cursors.(tuple).cu_src;
   Prof.charge_wait Phase.ring_wait t0
 
-let wait_activity_timeout t vst tuple budget =
+let wait_activity_timeout vst tuple budget =
   let t0 = Prof.mark () in
-  let r = Ring.wait_activity_timeout (follower_queue t vst tuple) budget in
+  let r =
+    Ring.wait_activity_timeout vst.inc.cursors.(tuple).cu_src budget
+  in
   Prof.charge_wait Phase.ring_wait t0;
   r
 
-let stream_lag _t vst tuple =
-  let live =
-    match vst.consumers.(tuple) with Some c -> Ring.lag_h c | None -> 0
-  in
+let stream_lag vst tuple =
+  let cu = vst.inc.cursors.(tuple) in
+  let live = match cu.cu_consumer with Some c -> Ring.lag_h c | None -> 0 in
   (* Routed-but-unreplayed lane events have passed the ring cursor but
      are still this follower's backlog. *)
   let live =
@@ -387,37 +413,31 @@ let stream_lag _t vst tuple =
     | Some ln when tuple = 0 -> live + Lanes.outstanding ln
     | _ -> live
   in
-  if in_catchup vst tuple then
-    live + (vst.catchup_until.(tuple) - vst.catchup_pos.(tuple))
-  else live
+  if in_catchup cu then live + (cu.cu_until - cu.cu_pos) else live
 
 (* The consumer's stream position in global tuple-stream coordinates,
    tape mode included (used by the fault hooks, the checkpoint capture
-   and the watchdog's progress ledger). A remote follower's mirror
-   cursor is rebased by the mirror's global offset. *)
-let stream_position t vst tuple =
-  if in_catchup vst tuple then Some vst.catchup_pos.(tuple)
+   and the watchdog's progress ledger). *)
+let stream_position vst tuple =
+  let cu = vst.inc.cursors.(tuple) in
+  if in_catchup cu then Some cu.cu_pos
   else
-    match vst.consumers.(tuple) with
+    match cu.cu_consumer with
+    | Some c -> Some (cu.cu_base + Ring.cursor_h c)
     | None -> None
-    | Some c -> (
-      match stream_source t vst.idx tuple with
-      | Some ns -> Some (ns.n_base + Ring.cursor_h c)
-      | None -> Some (Ring.cursor_h c))
 
-(* Total backlog including events still upstream of the bridge — what
-   the Healthy <-> Lagging report should see; for local followers this
-   is exactly {!stream_lag}. The stall quarantine must NOT use it:
-   during a partition the backlog is the link's fault, not the
-   follower's (the bridge watchdog owns that case). *)
+(* Total backlog measured against the tuple ring's head, so events still
+   upstream of the bridge count — what the Healthy <-> Lagging report
+   should see. For a follower reading the tuple ring itself this is
+   exactly {!stream_lag}. The stall quarantine must NOT use it: during a
+   partition the backlog is the link's fault, not the follower's (the
+   bridge watchdog owns that case). *)
 let stream_total_lag t vst tuple =
-  let consumable = stream_lag t vst tuple in
-  match stream_source t vst.idx tuple with
+  let consumable = stream_lag vst tuple in
+  match stream_position vst tuple with
+  | Some pos ->
+    max consumable (Ring.published t.tuples.(tuple).tp_ring - pos)
   | None -> consumable
-  | Some _ -> (
-    match stream_position t vst tuple with
-    | Some pos -> max consumable (Ring.published t.rings.(0) - pos)
-    | None -> consumable)
 
 (* A crashed follower dies with events still unread; its payload
    references go away with its cursor, or the chunks leak (caught by the
@@ -433,20 +453,18 @@ let stream_remove t vst =
   (* Lane events already passed the ring cursor, so [Ring.unread_h] below
      cannot see them: release their payloads from the lanes themselves. *)
   drop_lanes t vst;
-  Array.iteri
-    (fun tuple c ->
-      match c with
+  Array.iter
+    (fun cu ->
+      match cu.cu_consumer with
       | None -> ()
       | Some c ->
         List.iter (release_payload t) (Ring.unread_h c);
         Ring.unsubscribe c;
-        vst.consumers.(tuple) <- None)
-    vst.consumers;
-  match t.pump_queues with
-  | None -> ()
-  | Some pq ->
-    (* Waking the private queues lets the pump notice the departure. *)
-    Array.iter (fun per_tuple -> Ring.poke per_tuple.(vst.idx)) pq
+        cu.cu_consumer <- None)
+    vst.inc.cursors;
+  (* Waking the private queues lets the pump notice the departure. *)
+  if event_pump t then
+    Array.iter (fun tp -> Ring.poke tp.tp_pump.(vst.idx)) t.tuples
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint capture (rr-style fast rejoin)                           *)
@@ -481,7 +499,8 @@ let checkpoint_floor t =
             | Some s -> s
             | None -> 0
           in
-          let c = if in_catchup vst 0 then min c vst.catchup_pos.(0) else c in
+          let cu = vst.inc.cursors.(0) in
+          let c = if in_catchup cu then min c cu.cu_pos else c in
           floor := min !floor c
         end)
       t.vstates;
@@ -494,17 +513,16 @@ let checkpoint_floor t =
    residual coalescing state (a nonempty [partial_consumed] would serve
    already-consumed bytes twice after a restore). Each capture advances
    the tape retention floor and retires segments below it. *)
-let maybe_capture_checkpoint t vst ~unit_idx ~incarnation proc encode =
+let maybe_capture_checkpoint t vst ~unit_idx ~inc proc encode =
   if
-    vst.checkpoint_due && vst.alive
-    && vst.incarnation = incarnation
+    vst.checkpoint_due && vst.inc == inc && inc.alive
     && unit_idx = 0
     && vst.variant.Variant.program.Variant.units = 1
     && vst.idx <> t.leader_idx
-    && (not vst.promoted.(unit_idx))
-    && Hashtbl.length vst.partial_consumed = 0
+    && (not inc.units.(unit_idx).u_promoted)
+    && Hashtbl.length inc.partial_consumed = 0
   then begin
-    match stream_position t vst 0 with
+    match stream_position vst 0 with
     | None -> ()
     | Some seq ->
       (match Checkpoint.latest_seq t.checkpoints ~idx:vst.idx with
@@ -518,7 +536,7 @@ let maybe_capture_checkpoint t vst ~unit_idx ~incarnation proc encode =
           {
             Checkpoint.cp_idx = vst.idx;
             cp_seq = seq;
-            cp_clock = Lamport.current vst.clocks.(0);
+            cp_clock = Lamport.current inc.cursors.(0).cu_clock;
             cp_fds = K.snapshot_fds proc;
             cp_state = state;
           }
@@ -534,21 +552,14 @@ let maybe_capture_checkpoint t vst ~unit_idx ~incarnation proc encode =
         | None -> ());
         vst.checkpoint_due <- false;
         vst.last_checkpoint_at <- E.now_cycles ();
-        if Array.length t.tapes > 0 then
-          Tape.retire t.tapes.(0) ~keep_from:(checkpoint_floor t))
+        Option.iter
+          (fun tape -> Tape.retire tape ~keep_from:(checkpoint_floor t))
+          t.tuples.(0).tp_tape)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Dynamic tuples and units (process forks)                            *)
+(* Tuples, incarnations and units                                      *)
 (* ------------------------------------------------------------------ *)
-
-let grow_array a len fill =
-  if Array.length a >= len then a
-  else begin
-    let bigger = Array.make len fill in
-    Array.blit a 0 bigger 0 (Array.length a);
-    bigger
-  end
 
 (* Ring capacity after any Ring_pressure injection in the fault plan. *)
 let effective_ring_size (cfg : Config.t) =
@@ -556,92 +567,88 @@ let effective_ring_size (cfg : Config.t) =
   | Some n -> max 1 (min n cfg.Config.ring_size)
   | None -> cfg.Config.ring_size
 
-(* Set up tuple [idx]: its ring, tapped by the oracle (whose stall hook
+(* Build tuple [idx]: its ring, tapped by the oracle (whose stall hook
    reports the consumers holding the gate — the oracle flags any that
-   were quarantined, since the leader must never again wait on one), its
-   tape under the lifecycle manager, and its bookkeeping slots. *)
-let setup_tuple t idx =
+   were quarantined, since the leader must never again wait on one), and
+   its tape under the lifecycle manager. *)
+let make_tuple (cfg : Config.t) idx ~pump =
   let ring =
-    Ring.create ~size:(effective_ring_size t.cfg) (Printf.sprintf "ring%d" idx)
+    Ring.create ~size:(effective_ring_size cfg) (Printf.sprintf "ring%d" idx)
   in
-  (match t.oracle with
+  (match cfg.Config.oracle with
   | Some o ->
     Oracle.attach_ring o ~tuple:idx ring;
     Ring.set_stall_hook ring
       (Some (fun cids -> Oracle.note_gate_wait o ~tuple:idx ~cids))
   | None -> ());
-  t.rings <- grow_array t.rings (idx + 1) ring;
-  t.rings.(idx) <- ring;
-  (if t.lifecycle <> None then begin
-     let tape = Tape.create () in
-     t.tapes <- grow_array t.tapes (idx + 1) tape;
-     t.tapes.(idx) <- tape
-   end);
-  t.waitlock_sleepers <- grow_array t.waitlock_sleepers (idx + 1) 0;
-  t.tuple_ready <- grow_array t.tuple_ready (idx + 1) 0
+  {
+    tp_ring = ring;
+    tp_pump = pump;
+    tp_tape =
+      (if cfg.Config.lifecycle <> None then Some (Tape.create ()) else None);
+    tp_sleepers = 0;
+    tp_ready = 0;
+  }
 
-(* Allocate a fresh tuple for a forked process. Only meaningful in
-   shared-ring mode; the event-pump ablation predates multi-process
-   support, as did the prototype's first design. *)
+(* Allocate a fresh tuple for a forked process, with an unsubscribed
+   cursor on it in every variant. Only meaningful in shared-ring mode;
+   the event-pump ablation predates multi-process support, as did the
+   prototype's first design. *)
 let new_tuple t =
-  (match t.pump_queues with
-  | Some _ -> invalid_arg "Session: fork is unsupported in event-pump mode"
-  | None -> ());
-  let idx = t.ntuples in
-  t.ntuples <- idx + 1;
-  setup_tuple t idx;
+  if event_pump t then
+    invalid_arg "Session: fork is unsupported in event-pump mode";
+  let idx = Array.length t.tuples in
+  let tp = make_tuple t.cfg idx ~pump:[||] in
+  t.tuples <- Array.append t.tuples [| tp |];
   Array.iter
     (fun vst ->
-      vst.consumers <- grow_array vst.consumers t.ntuples None;
-      vst.consumers.(idx) <- None;
-      vst.clocks <- grow_array vst.clocks t.ntuples (Lamport.create ());
-      vst.clocks.(idx) <- Lamport.create ();
-      vst.catchup_pos <- grow_array vst.catchup_pos t.ntuples 0;
-      vst.catchup_until <- grow_array vst.catchup_until t.ntuples (-1))
+      vst.inc.cursors <- Array.append vst.inc.cursors [| new_cursor tp |])
     t.vstates;
   idx
 
-(* Reset a variant's per-tuple and per-unit monitor arrays to the launch
-   shape: per tuple no consumer, a fresh Lamport clock and no catch-up
-   range; per unit its tuple, its stream tid and whether it leads. *)
-let reset_shape vst ~ntuples ~leading =
-  let shape = vst.variant.Variant.program in
-  let nunits = shape.Variant.units in
-  vst.vrole <- (if leading then Leader else Follower);
-  vst.table <-
-    (if leading then Syscall_table.leader else Syscall_table.follower);
-  vst.consumers <- Array.make ntuples None;
-  vst.clocks <- Array.init ntuples (fun _ -> Lamport.create ());
-  vst.catchup_pos <- Array.make ntuples 0;
-  vst.catchup_until <- Array.make ntuples (-1);
-  vst.promoted <- Array.make nunits leading;
-  vst.unit_tuple <-
-    (match shape.Variant.unit_kind with
-    | Variant.Thread -> Array.make nunits 0
-    | Variant.Process -> Array.init nunits Fun.id);
-  vst.unit_tid <- Array.init nunits Fun.id
+(* A variant's launch shape, built by launch and rebuilt by every
+   respawn: its role, an unsubscribed cursor per tuple (fresh Lamport
+   clock, no catch-up range), and per initial unit its tuple, its stream
+   tid and whether it leads. *)
+let incarnation variant tuples ~gen ~leading =
+  let shape = variant.Variant.program in
+  let unit_at u =
+    let u_tuple =
+      match shape.Variant.unit_kind with
+      | Variant.Thread -> 0
+      | Variant.Process -> u
+    in
+    { u_tuple; u_tid = u; u_promoted = leading }
+  in
+  {
+    gen;
+    alive = true;
+    role = (if leading then Leader else Follower);
+    table = (if leading then Syscall_table.leader else Syscall_table.follower);
+    cursors = Array.map new_cursor tuples;
+    units = Array.init shape.Variant.units unit_at;
+    main_proc = None;
+    all_procs = [];
+    partial_consumed = Hashtbl.create 4;
+    drop_release = false;
+    pending_restore = None;
+  }
 
 (* Allocate a unit slot in a variant (a forked child process). *)
 let new_unit vst ~tuple ~tid ~promoted =
-  let u = Array.length vst.unit_tuple in
-  vst.unit_tuple <- grow_array vst.unit_tuple (u + 1) tuple;
-  vst.unit_tid <- grow_array vst.unit_tid (u + 1) tid;
-  vst.promoted <- grow_array vst.promoted (u + 1) promoted;
-  vst.unit_tuple.(u) <- tuple;
-  vst.unit_tid.(u) <- tid;
-  vst.promoted.(u) <- promoted;
-  u
+  let inc = vst.inc in
+  let u = { u_tuple = tuple; u_tid = tid; u_promoted = promoted } in
+  inc.units <- Array.append inc.units [| u |];
+  Array.length inc.units - 1
 
 let poke_all t =
-  Array.iter Ring.poke t.rings;
+  Array.iter (fun tp -> Ring.poke tp.tp_ring) t.tuples;
   (match t.net with Some ns -> Ring.poke ns.n_mirror | None -> ());
-  match t.pump_queues with
-  | None -> ()
-  | Some pq -> Array.iter (fun per_tuple -> Array.iter Ring.poke per_tuple) pq
+  Array.iter (fun tp -> Array.iter Ring.poke tp.tp_pump) t.tuples
 
 let alive_followers t =
   Array.fold_left
-    (fun n v -> if v.alive && v.idx <> t.leader_idx then n + 1 else n)
+    (fun n v -> if v.inc.alive && v.idx <> t.leader_idx then n + 1 else n)
     0 t.vstates
 
 (* ------------------------------------------------------------------ *)
@@ -702,12 +709,12 @@ let check_degraded_floor t =
 let evict t vsts =
   List.iter
     (fun vst ->
-      vst.alive <- false;
+      vst.inc.alive <- false;
       stream_remove t vst;
-      Array.fill vst.catchup_until 0 (Array.length vst.catchup_until) (-1);
+      end_catchup vst;
       List.iter
         (fun p -> K.kill_proc t.k p Varan_kernel.Flags.sigkill)
-        vst.all_procs)
+        vst.inc.all_procs)
     vsts;
   poke_all t;
   E.Cond.broadcast t.ready_cond
@@ -722,9 +729,9 @@ let declare_dead t lc en vst why =
 
 (* Take a follower out of service into [state] (Quarantined or
    Unreachable), noting why and where in the stream it stopped. *)
-let park t lc en vst ~reason state =
+let park lc en vst ~reason state =
   en.Lifecycle.e_reason <- reason;
-  (match stream_position t vst 0 with
+  (match stream_position vst 0 with
   | Some s -> en.Lifecycle.e_quarantine_seq <- s
   | None -> ());
   Lifecycle.transition lc en state
@@ -744,7 +751,7 @@ let begin_quarantine t vst ~reason =
     | Lifecycle.Healthy | Lifecycle.Lagging | Lifecycle.Catching_up ->
       Flight.record t.fl ~at:(E.now t.k.Types.eng) "lifecycle.quarantine"
         (Printf.sprintf "variant %d: %s" vst.idx reason);
-      park t lc en vst ~reason Lifecycle.Quarantined;
+      park lc en vst ~reason Lifecycle.Quarantined;
       true)
 
 (* The tuples the variant's initial units subscribe to — what a respawn
@@ -761,9 +768,9 @@ let initial_tuples vst =
    at the current ring head (the splice sequence), and ask the zygote for
    a fresh process image. Task context. *)
 let respawn t vst =
-  match t.lifecycle with
-  | None -> ()
-  | Some lc ->
+  match (t.lifecycle, t.tuples.(0).tp_tape) with
+  | None, _ | _, None -> ()
+  | Some lc, Some tape0 ->
     let en = Lifecycle.entry lc vst.idx in
     let from_unreachable = Lifecycle.state en = Lifecycle.Unreachable in
     if not (from_unreachable || Lifecycle.state en = Lifecycle.Quarantined)
@@ -781,7 +788,10 @@ let respawn t vst =
          (the bridge was reattached at [n_base] before any heal-respawn
          runs), never the local ring's head — a checkpoint above the
          mirror head would leave the restored state ahead of the splice. *)
-      let rejoin_head = source_head t vst.idx 0 in
+      let rejoin_head =
+        let src, base = source t vst.idx 0 in
+        base + Ring.published src
+      in
       let nunits = vst.variant.Variant.program.Variant.units in
       (* rr-style fast rejoin: restore the newest retained checkpoint and
          replay only the tape delta behind it. Only single-unit variants
@@ -789,24 +799,19 @@ let respawn t vst =
          state; anything else replays the full tape. A checkpoint below
          [Tape.base] was retired and is unusable. *)
       let restore =
-        if nunits = 1 && Array.length t.tapes > 0 then
+        if nunits = 1 then
           match
             Checkpoint.latest_at_most t.checkpoints ~idx:vst.idx
               ~seq:rejoin_head
           with
-          | Some cp when cp.Checkpoint.cp_seq >= Tape.base t.tapes.(0) ->
-            Some cp
+          | Some cp when cp.Checkpoint.cp_seq >= Tape.base tape0 -> Some cp
           | _ -> None
         else None
       in
       let start0 =
         match restore with Some cp -> cp.Checkpoint.cp_seq | None -> 0
       in
-      if
-        Array.length t.tapes > 0
-        && rejoin_head > start0
-        && start0 < Tape.base t.tapes.(0)
-      then begin
+      if rejoin_head > start0 && start0 < Tape.base tape0 then begin
         (* The recorded prefix this follower needs was retired while it
            was away (e.g. a partition outliving the retention floor — the
            floor deliberately ignores [Unreachable] parks). A truncated
@@ -814,8 +819,7 @@ let respawn t vst =
         en.Lifecycle.e_reason <-
           Printf.sprintf
             "tape truncated below rejoin: need seq %d, retained base %d"
-            start0
-            (Tape.base t.tapes.(0));
+            start0 (Tape.base tape0);
         declare_dead t lc en vst en.Lifecycle.e_reason;
         check_degraded_floor t
       end
@@ -831,16 +835,8 @@ let respawn t vst =
             ~max_restarts:(Lifecycle.policy lc).Lifecycle.max_restarts
         | None -> ()
       end;
-      reset_shape vst ~ntuples:t.ntuples ~leading:false;
-      vst.main_proc <- None;
-      vst.unit_procs <- [||];
-      vst.all_procs <- [];
-      vst.apis <- [];
-      Hashtbl.reset vst.partial_consumed;
-      vst.drop_release <- false;
-      vst.incarnation <- vst.incarnation + 1;
-      vst.alive <- true;
-      vst.pending_restore <- None;
+      vst.inc <-
+        incarnation vst.variant t.tuples ~gen:(vst.inc.gen + 1) ~leading:false;
       (* The live consumer's cursor parks at the ring head; the recorded
          prefix [start, head) replays from the tape — [start] is 0 or the
          restored checkpoint's position — so the splice lands at exactly
@@ -848,14 +844,14 @@ let respawn t vst =
          stream's stamp. *)
       List.iter
         (fun tu ->
-          let head = source_head t vst.idx tu in
-          let c = Ring.subscribe (source_ring t vst.idx tu) in
-          vst.consumers.(tu) <- Some c;
+          let c = subscribe t vst tu in
+          let cu = vst.inc.cursors.(tu) in
+          let head = cu.cu_base + Ring.published cu.cu_src in
           let start =
             match restore with
             | Some cp when tu = 0 ->
-              Lamport.force vst.clocks.(tu) cp.Checkpoint.cp_clock;
-              vst.pending_restore <- Some cp;
+              Lamport.force cu.cu_clock cp.Checkpoint.cp_clock;
+              vst.inc.pending_restore <- Some cp;
               Checkpoint.note_restore t.checkpoints
                 ~delta:(head - cp.Checkpoint.cp_seq);
               (match t.oracle with
@@ -867,14 +863,14 @@ let respawn t vst =
             | _ -> 0
           in
           if head > start then begin
-            vst.catchup_pos.(tu) <- start;
-            vst.catchup_until.(tu) <- head
+            cu.cu_pos <- start;
+            cu.cu_until <- head
           end;
           (* The mirror ring is outside the oracle's tuple map (its cids
              collide with the local ring's); remote rejoins are audited
              end to end by the harness digests instead. *)
           match t.oracle with
-          | Some o when Option.is_none (stream_source t vst.idx tu) ->
+          | Some o when cu.cu_src == t.tuples.(tu).tp_ring ->
             Oracle.note_rejoin o ~idx:vst.idx ~tuple:tu
               ~cid:(Ring.consumer_cid c) ~splice_seq:head
           | _ -> ())
@@ -888,14 +884,15 @@ let respawn t vst =
       Lifecycle.transition lc en Lifecycle.Catching_up;
       Flight.record t.fl ~at:(E.now t.k.Types.eng) "lifecycle.respawn"
         (Printf.sprintf "variant %d incarnation %d, splice at %d" vst.idx
-           vst.incarnation rejoin_head);
+           vst.inc.gen rejoin_head);
       (* An empty stream means there is nothing to catch up on. *)
       finish_rejoin t vst;
       (* If the leader died while this follower was out, adopt the role:
          the catch-up still replays the recorded prefix, and the variant
          promotes itself once the stream drains. A remote follower never
          leads — it cannot publish into the local ring. *)
-      if (not t.vstates.(t.leader_idx).alive) && not (is_remote t vst.idx) then
+      if (not t.vstates.(t.leader_idx).inc.alive) && not (is_remote t vst.idx)
+      then
         t.leader_idx <- vst.idx;
       (match t.zygote with
       | Some z -> ignore (Zygote.fork_request z vst.variant.Variant.v_name)
@@ -918,15 +915,15 @@ let quarantine_work t vst =
     (match t.oracle with
     | Some o ->
       Array.iteri
-        (fun tu c ->
-          match c with
-          | Some c when Option.is_none (stream_source t vst.idx tu) ->
+        (fun tu cu ->
+          match cu.cu_consumer with
+          | Some c when cu.cu_src == t.tuples.(tu).tp_ring ->
             (* Mirror-ring consumers live outside the oracle's tuple
                map; noting their cids would collide with ring 0's. *)
             Oracle.note_quarantine o ~idx:vst.idx ~tuple:tu
               ~cid:(Ring.consumer_cid c)
           | _ -> ())
-        vst.consumers
+        vst.inc.cursors
     | None -> ());
     evict t [ vst ];
     if en.Lifecycle.e_restarts >= p.Lifecycle.max_restarts then begin
@@ -964,12 +961,12 @@ let begin_unreachable t ~reason =
   | Some lc ->
     Array.fold_left
       (fun acc vst ->
-        if is_remote t vst.idx && vst.idx <> t.leader_idx && vst.alive
+        if is_remote t vst.idx && vst.idx <> t.leader_idx && vst.inc.alive
         then begin
           let en = Lifecycle.entry lc vst.idx in
           match Lifecycle.state en with
           | Lifecycle.Healthy | Lifecycle.Lagging | Lifecycle.Catching_up ->
-            park t lc en vst ~reason Lifecycle.Unreachable;
+            park lc en vst ~reason Lifecycle.Unreachable;
             vst :: acc
           | _ -> acc
         end
@@ -1020,7 +1017,7 @@ let heal_work t =
       end
     else begin
       ns.n_epoch <- ns.n_epoch + 1;
-      let head = Ring.published t.rings.(0) in
+      let head = Ring.published t.tuples.(0).tp_ring in
       let mirror =
         Ring.create ~size:(effective_ring_size t.cfg)
           (Printf.sprintf "mirror%d" ns.n_epoch)
@@ -1085,7 +1082,7 @@ let watchdog_tick t =
     | _ -> ());
     Array.iter
       (fun vst ->
-        if vst.idx <> t.leader_idx && vst.alive then begin
+        if vst.idx <> t.leader_idx && vst.inc.alive then begin
           let en = Lifecycle.entry lc vst.idx in
           match Lifecycle.state en with
           | Lifecycle.Quarantined | Lifecycle.Respawning
@@ -1112,9 +1109,9 @@ let watchdog_tick t =
                [consumable] is what the follower could actually consume
                right now. *)
             let lag = ref 0 and consumable = ref 0 in
-            for tu = 0 to t.ntuples - 1 do
+            for tu = 0 to Array.length t.tuples - 1 do
               lag := max !lag (stream_total_lag t vst tu);
-              consumable := max !consumable (stream_lag t vst tu)
+              consumable := max !consumable (stream_lag vst tu)
             done;
             let lag = !lag and consumable = !consumable in
             (match Lifecycle.state en with
@@ -1160,8 +1157,8 @@ let watchdog_tick t =
 let crash_list_limit = 64
 
 let handle_crash t vst exn =
-  if vst.alive then begin
-    vst.alive <- false;
+  if vst.inc.alive then begin
+    vst.inc.alive <- false;
     t.crash_total <- t.crash_total + 1;
     if t.crash_list_len < crash_list_limit then begin
       t.crash_list <- (vst.idx, Printexc.to_string exn) :: t.crash_list;
@@ -1201,7 +1198,7 @@ let handle_crash t vst exn =
       ignore
         (E.spawn_here ~name:"coordinator-failover" (fun () ->
              E.consume t.cost.Cost.failover_notify;
-             (match vst.main_proc with
+             (match vst.inc.main_proc with
              | Some proc -> K.kill_proc t.k proc Varan_kernel.Flags.sigsegv
              | None -> ());
              stream_remove t vst;
@@ -1220,14 +1217,14 @@ let handle_crash t vst exn =
                 leader role to a variant that died in the meantime (e.g.
                 the last follower crashing while an earlier leader
                 crash's election is still in flight). *)
-             if not t.vstates.(t.leader_idx).alive then begin
+             if not t.vstates.(t.leader_idx).inc.alive then begin
                (* Elect the alive follower with the smallest internal id.
                   Remote followers are not electable: a leader must
                   publish into the local ring. *)
                let candidate =
                  Array.fold_left
                    (fun acc v ->
-                     if v.alive && not (is_remote t v.idx) then
+                     if v.inc.alive && not (is_remote t v.idx) then
                        match acc with
                        | None -> Some v
                        | Some best when v.idx < best.idx -> Some v
@@ -1247,7 +1244,7 @@ let handle_crash t vst exn =
              | Some _ -> check_degraded_floor t
              | None ->
                if
-                 t.vstates.(t.leader_idx).alive
+                 t.vstates.(t.leader_idx).inc.alive
                  && alive_followers t = 0
                  && vst.idx <> t.leader_idx
                then degrade t "all followers dead");
@@ -1310,7 +1307,7 @@ let fault_leader_hook t vst proc tuple =
   match t.fault with
   | None -> ()
   | Some armed ->
-    let seq = Ring.published t.rings.(tuple) in
+    let seq = Ring.published t.tuples.(tuple).tp_ring in
     List.iter
       (fun (action : Fault.action) ->
         match action with
@@ -1328,7 +1325,7 @@ let fault_follower_hook t vst tuple =
   match t.fault with
   | None -> ()
   | Some armed -> (
-    match stream_position t vst tuple with
+    match stream_position vst tuple with
     | None -> ()
     | Some seq ->
       List.iter
@@ -1341,7 +1338,7 @@ let fault_follower_hook t vst tuple =
                that ever triggered — pinned by a regression test. *)
             vst.st.injected_stalls <- vst.st.injected_stalls + 1;
             E.sleep delay
-          | Fault.Drop_payload -> vst.drop_release <- true
+          | Fault.Drop_payload -> vst.inc.drop_release <- true
           | Fault.Crash -> raise (injected_crash vst seq)
           | Fault.Signals _ -> ())
         (Fault.at_follower_consume armed ~idx:vst.idx ~seq))
@@ -1355,9 +1352,8 @@ let fault_follower_hook t vst tuple =
    recorder client too. Counting only followers would free a chunk under
    the recorder's feet (readers = 0 with a lone recorder). *)
 let stream_readers t tuple nfoll =
-  match t.pump_queues with
-  | None -> Ring.active_consumers t.rings.(tuple)
-  | Some _ -> nfoll
+  if event_pump t then nfoll
+  else Ring.active_consumers t.tuples.(tuple).tp_ring
 
 (* Does anyone consume [tuple]'s stream? With nobody (no followers, no
    recorder) the leader skips recording entirely: running VARAN with zero
@@ -1375,19 +1371,21 @@ let streaming t tuple nfoll =
    stamps the event at slot-claim time, registers its payload readers,
    tapes it with [out] as its flattened result and counts it. *)
 let publish_event t vst ~tuple ~nfoll ~wake ~disp ~out make =
-  if wake && t.waitlock_sleepers.(tuple) > 0 then
-    E.consume t.cost.Cost.waitlock_wake;
+  let tp = t.tuples.(tuple) in
+  if wake && tp.tp_sleepers > 0 then E.consume t.cost.Cost.waitlock_wake;
   E.consume (publish_cost t disp nfoll);
   (* The Lamport tick happens atomically with the slot claim: sibling
      leader threads must not interleave between stamping and writing, or
      followers would observe out-of-order timestamps (Figure 3). *)
-  Ring.publish_k t.rings.(tuple) (fun () ->
-      let event = make (Lamport.tick vst.clocks.(tuple)) in
+  Ring.publish_k tp.tp_ring (fun () ->
+      let event = make (Lamport.tick vst.inc.cursors.(tuple).cu_clock) in
       register_payload t event (stream_readers t tuple nfoll);
       (* Tape capture flattens the payload now, from the leader's own
          result buffer — the pool chunk may be recycled long before a
          respawned follower replays this entry. *)
-      if t.lifecycle <> None then Tape.append t.tapes.(tuple) event ~out;
+      (match t.tuples.(tuple).tp_tape with
+      | Some tape -> Tape.append tape event ~out
+      | None -> ());
       event);
   vst.st.events_published <- vst.st.events_published + 1
 
@@ -1450,7 +1448,8 @@ let leader_execute_and_record t vst ~unit_idx ~tuple proc
       (fun clock ->
         Event.make
           ~kind:(if is_exit then Event.Ev_exit else Event.Ev_syscall)
-          ~tid:vst.unit_tid.(unit_idx) ~args:int_args ~ret:result.Args.ret
+          ~tid:vst.inc.units.(unit_idx).u_tid ~args:int_args
+          ~ret:result.Args.ret
           ?payload ~payload_len ?inline_out ?grant ~clock
           (Sysno.to_int sysno))
   in
@@ -1490,24 +1489,23 @@ let follower_wait t vst tuple sysno =
   in
   let slept =
     if not uses_waitlock then begin
-      stream_wait t vst tuple;
+      stream_wait vst tuple;
       false
     end
     else if
-      wait_activity_timeout t vst tuple t.cost.Cost.waitlock_spin_cycles
+      wait_activity_timeout vst tuple t.cost.Cost.waitlock_spin_cycles
     then false
     else begin
       (* A remote follower sleeps on the mirror ring; its wake is the
          bridge receiver's publish, not a leader-side futex — don't make
          the leader pay for it. *)
-      let counted = Option.is_none (stream_source t vst.idx tuple) in
-      if counted then
-        t.waitlock_sleepers.(tuple) <- t.waitlock_sleepers.(tuple) + 1;
+      let counted = not (tuple = 0 && is_remote t vst.idx) in
+      let tp = t.tuples.(tuple) in
+      if counted then tp.tp_sleepers <- tp.tp_sleepers + 1;
       Fun.protect
         ~finally:(fun () ->
-          if counted then
-            t.waitlock_sleepers.(tuple) <- t.waitlock_sleepers.(tuple) - 1)
-        (fun () -> stream_wait t vst tuple);
+          if counted then tp.tp_sleepers <- tp.tp_sleepers - 1)
+        (fun () -> stream_wait vst tuple);
       true
     end
   in
@@ -1521,11 +1519,11 @@ let rec await_event t vst ~unit_idx ~tuple sysno =
   (* A sibling thread may have promoted the whole variant while this unit
      was parked: take the leader path instead of reading the (gone)
      consumer. *)
-  if vst.promoted.(unit_idx) then raise Promote;
+  if vst.inc.units.(unit_idx).u_promoted then raise Promote;
   match vst.lanes with
   | Some ln when tuple = 0 -> (
     Lanes.pump ln;
-    match Lanes.peek ln ~tid:vst.unit_tid.(unit_idx) with
+    match Lanes.peek ln ~tid:vst.inc.units.(unit_idx).u_tid with
     | Some e -> e
     | None when t.leader_idx <> vst.idx ->
       wait_or_degrade t vst ~unit_idx ~tuple sysno
@@ -1540,7 +1538,7 @@ let rec await_event t vst ~unit_idx ~tuple sysno =
       wait_for_siblings t vst ~unit_idx ~tuple sysno)
   | _ -> (
     match stream_peek t vst tuple with
-    | Some e when e.Event.tid = vst.unit_tid.(unit_idx) -> e
+    | Some e when e.Event.tid = vst.inc.units.(unit_idx).u_tid -> e
     | Some _ ->
       (* Head event belongs to a sibling thread; wait for it to advance. *)
       wait_for_siblings t vst ~unit_idx ~tuple sysno
@@ -1548,7 +1546,7 @@ let rec await_event t vst ~unit_idx ~tuple sysno =
     | None -> wait_or_degrade t vst ~unit_idx ~tuple sysno)
 
 and wait_for_siblings t vst ~unit_idx ~tuple sysno =
-  stream_wait t vst tuple;
+  stream_wait vst tuple;
   await_event t vst ~unit_idx ~tuple sysno
 
 (* Nothing for this follower yet. If nobody can feed the stream again,
@@ -1556,7 +1554,8 @@ and wait_for_siblings t vst ~unit_idx ~tuple sysno =
    unit quietly instead of escaping with Divergence_kill; otherwise wait
    for the leader and retry. *)
 and wait_or_degrade t vst ~unit_idx ~tuple sysno =
-  if (not t.vstates.(t.leader_idx).alive) && alive_followers t = 0 then begin
+  if (not t.vstates.(t.leader_idx).inc.alive) && alive_followers t = 0
+  then begin
     degrade t "no leader remains";
     raise E.Killed
   end
@@ -1570,7 +1569,7 @@ and wait_or_degrade t vst ~unit_idx ~tuple sysno =
    time (in stream order). *)
 let take_control_event t vst ~tuple ~tid (e : Event.t) =
   if not (lanes_active vst tuple) then
-    ignore (Lamport.try_advance vst.clocks.(tuple) e.Event.clock);
+    ignore (Lamport.try_advance vst.inc.cursors.(tuple).cu_clock e.Event.clock);
   stream_advance t vst tuple ~tid;
   E.consume t.cost.Cost.consume_event;
   vst.st.events_consumed <- vst.st.events_consumed + 1
@@ -1595,7 +1594,7 @@ let decode_event_result t vst (disp : Syscall_table.disposition) proc
       let n = min e.Event.payload_len (Pool.size chunk) in
       let bytes = Bytes.create n in
       let _ = Pool.read_into chunk bytes ~len:n in
-      if vst.drop_release then vst.drop_release <- false
+      if vst.inc.drop_release then vst.inc.drop_release <- false
       else release_payload t e;
       Some bytes
   in
@@ -1674,7 +1673,7 @@ let rec follower_replay t vst ~unit_idx ~tuple proc
     (disp : Syscall_table.disposition) sysno args =
   fault_follower_hook t vst tuple;
   let e = await_event t vst ~unit_idx ~tuple sysno in
-  let tid = vst.unit_tid.(unit_idx) in
+  let tid = vst.inc.units.(unit_idx).u_tid in
   (* With lanes the clock check already ran at demux time (in stream
      order); per-tid consumption order would trip it here. *)
   let check_clock = not (lanes_active vst tuple) in
@@ -1698,38 +1697,38 @@ let rec follower_replay t vst ~unit_idx ~tuple proc
     &&
     let requested = Args.payload_size args in
     let used =
-      Option.value ~default:0 (Hashtbl.find_opt vst.partial_consumed pkey)
+      Option.value ~default:0 (Hashtbl.find_opt vst.inc.partial_consumed pkey)
     in
     requested > 0 && e.Event.ret - used > requested
   then begin
     let requested = Args.payload_size args in
     let used =
-      Option.value ~default:0 (Hashtbl.find_opt vst.partial_consumed pkey)
+      Option.value ~default:0 (Hashtbl.find_opt vst.inc.partial_consumed pkey)
     in
-    Hashtbl.replace vst.partial_consumed pkey (used + requested);
+    Hashtbl.replace vst.inc.partial_consumed pkey (used + requested);
     E.consume t.cost.Cost.consume_event;
     vst.st.divergences_coalesced <- vst.st.divergences_coalesced + 1;
     { Args.ret = requested; out = None; fd_object = None }
   end
   else if e.Event.sysno = Sysno.to_int sysno then begin
     if check_clock then begin
-      let ok = Lamport.try_advance vst.clocks.(tuple) e.Event.clock in
+      let clock = vst.inc.cursors.(tuple).cu_clock in
+      let ok = Lamport.try_advance clock e.Event.clock in
       (* With a shared cursor the head event always carries the next
          timestamp; a violation indicates stream corruption. *)
       if not ok then
         raise
           (Divergence_kill
              (Printf.sprintf "clock violation: at %d got stamp %d"
-                (Lamport.current vst.clocks.(tuple))
-                e.Event.clock))
+                (Lamport.current clock) e.Event.clock))
     end;
     (* If earlier coalesced calls took a prefix of this event, this final
        call receives only the remainder. *)
     let remainder_adjust r =
-      match Hashtbl.find_opt vst.partial_consumed pkey with
+      match Hashtbl.find_opt vst.inc.partial_consumed pkey with
       | Some used when used > 0
                        && Sysno.transfer_class sysno = Sysno.In_buffer ->
-        Hashtbl.remove vst.partial_consumed pkey;
+        Hashtbl.remove vst.inc.partial_consumed pkey;
         { r with Args.ret = max 0 (r.Args.ret - used) }
       | _ -> r
     in
@@ -1763,7 +1762,8 @@ let rec follower_replay t vst ~unit_idx ~tuple proc
       log_divergence t vst e sysno "skip-leader-event";
       vst.st.divergences_skipped <- vst.st.divergences_skipped + 1;
       if check_clock then
-        ignore (Lamport.try_advance vst.clocks.(tuple) e.Event.clock);
+        ignore
+          (Lamport.try_advance vst.inc.cursors.(tuple).cu_clock e.Event.clock);
       stream_advance t vst tuple ~tid;
       (* Keep descriptor tables aligned even for skipped events. *)
       (match e.Event.grant with
@@ -1785,28 +1785,24 @@ let rec follower_replay t vst ~unit_idx ~tuple proc
    the in-flight operation as leader (§3.2, §5.1). *)
 let do_promote t vst ~unit_idx ~tuple =
   (match vst.variant.Variant.program.Variant.unit_kind with
-  | Variant.Thread ->
-    Array.fill vst.promoted 0 (Array.length vst.promoted) true
-  | Variant.Process -> vst.promoted.(unit_idx) <- true);
+  | Variant.Thread -> Array.iter (fun u -> u.u_promoted <- true) vst.inc.units
+  | Variant.Process -> vst.inc.units.(unit_idx).u_promoted <- true);
   (* A leader does not demultiplex: lanes go away with the consumer
      (they are empty here — promotion requires a drained stream — so the
      drain is a safety net for the payload invariant). *)
   drop_lanes t vst;
-  (match t.pump_queues with
-  | None -> (
-    match vst.consumers.(tuple) with
-    | Some c ->
-      Ring.unsubscribe c;
-      vst.consumers.(tuple) <- None
-    | None -> ())
-  | Some _ -> ());
+  (let cu = vst.inc.cursors.(tuple) in
+   match cu.cu_consumer with
+   | Some c when not (event_pump t) ->
+     Ring.unsubscribe c;
+     cu.cu_consumer <- None
+   | _ -> ());
   (* Sibling units parked on stream activity must re-examine the world:
      they now find [promoted] set and take the leader path themselves. *)
-  Ring.poke t.rings.(tuple);
-  if vst.vrole = Follower then begin
-    vst.vrole <- Leader;
-    vst.table <- Syscall_table.leader;
-    Lamport.force vst.clocks.(tuple) (Lamport.current vst.clocks.(tuple));
+  Ring.poke t.tuples.(tuple).tp_ring;
+  if vst.inc.role = Follower then begin
+    vst.inc.role <- Leader;
+    vst.inc.table <- Syscall_table.leader;
     (match t.oracle with
     | Some o -> Oracle.note_promotion o ~idx:vst.idx
     | None -> ())
@@ -1817,7 +1813,7 @@ let do_promote t vst ~unit_idx ~tuple =
   | Some lc ->
     let en = Lifecycle.entry lc vst.idx in
     if Lifecycle.state en = Lifecycle.Catching_up then begin
-      Array.fill vst.catchup_until 0 (Array.length vst.catchup_until) (-1);
+      end_catchup vst;
       Lifecycle.transition lc en Lifecycle.Healthy
     end
   | None -> ());
@@ -1830,11 +1826,12 @@ let leader_publish_signal t vst ~unit_idx ~tuple signo =
   if streaming t tuple nfoll then
     publish_event t vst ~tuple ~nfoll ~wake:false ~disp:Syscall_table.Stream
       ~out:None (fun clock ->
-        Event.make ~kind:Event.Ev_signal ~tid:vst.unit_tid.(unit_idx) ~clock
+        Event.make ~kind:Event.Ev_signal
+          ~tid:vst.inc.units.(unit_idx).u_tid ~clock
           signo)
 
 let interposed t vst ~unit_idx proc sysno args =
-  let tuple = tuple_of_unit vst unit_idx in
+  let tuple = vst.inc.units.(unit_idx).u_tuple in
   let t0 = E.now_cycles () in
   (* Cycle attribution: the gap since the last interposition returned is
      the variant body's own computation; the interposed call itself is
@@ -1846,7 +1843,7 @@ let interposed t vst ~unit_idx proc sysno args =
   let trace_tid = if traced then (E.self () :> int) else 0 in
   if traced then
     Trace.begin_span ~ts:t0
-      ~lamport:(Lamport.current vst.clocks.(tuple))
+      ~lamport:(Lamport.current vst.inc.cursors.(tuple).cu_clock)
       ~pid:t.trace_pid ~tid:trace_tid (Sysno.name sysno);
   (* Runs on the normal return AND the unwind path (exit syscalls and
      divergence kills raise): an unclosed span would corrupt this
@@ -1856,13 +1853,13 @@ let interposed t vst ~unit_idx proc sysno args =
     if reg.Prof.r_tid >= 0 then Phase.gap_mark reg.Prof.r_tid ts;
     if traced then
       Trace.end_span ~ts
-        ~lamport:(Lamport.current vst.clocks.(tuple))
+        ~lamport:(Lamport.current vst.inc.cursors.(tuple).cu_clock)
         ~pid:t.trace_pid ~tid:trace_tid (Sysno.name sysno)
   in
   (* Deliver pending caught signals at the interception boundary: the
      leader streams an Ev_signal first so followers replay the handler at
      the same point. *)
-  (if t.leader_idx = vst.idx && vst.promoted.(unit_idx) then
+  (if t.leader_idx = vst.idx && vst.inc.units.(unit_idx).u_promoted then
      let rec drain () =
        match K.take_pending_signal proc with
        | None -> ()
@@ -1872,7 +1869,7 @@ let interposed t vst ~unit_idx proc sysno args =
          drain ()
      in
      drain ());
-  let disp = Syscall_table.lookup vst.table sysno in
+  let disp = Syscall_table.lookup vst.inc.table sysno in
   charge_interception t vst disp sysno;
   let result =
     try
@@ -1886,7 +1883,9 @@ let interposed t vst ~unit_idx proc sysno args =
               vst.variant.Variant.v_name);
         Args.err Errno.ENOSYS
       | Syscall_table.Stream | Syscall_table.Virtual -> (
-        let leading = t.leader_idx = vst.idx && vst.promoted.(unit_idx) in
+        let leading =
+          t.leader_idx = vst.idx && vst.inc.units.(unit_idx).u_promoted
+        in
         if leading then
           leader_execute_and_record t vst ~unit_idx ~tuple proc disp sysno
             args
@@ -1965,12 +1964,12 @@ let prepare_image t vst =
 (* Run an execution unit's body as a task of [proc]. A task surviving from
    a superseded incarnation must not crash the respawned one. *)
 let spawn_unit t vst ~name proc body =
-  let incarnation = vst.incarnation in
+  let inc = vst.inc in
   let tid =
     E.spawn_here ~name (fun () ->
         try body () with
         | E.Killed -> ()
-        | exn -> if vst.incarnation = incarnation then handle_crash t vst exn)
+        | exn -> if vst.inc == inc then handle_crash t vst exn)
   in
   K.register_task t.k proc tid
 
@@ -2007,13 +2006,12 @@ let rec make_unit_api t vst ~unit_idx proc =
      at every syscall boundary; the capture only happens when the
      watchdog armed one (and this unit's shape qualifies). *)
   (if t.lifecycle <> None then begin
-     let incarnation = vst.incarnation in
+     let inc = vst.inc in
      api.Api.checkpoint_hook <-
        Some
          (fun encode ->
-           maybe_capture_checkpoint t vst ~unit_idx ~incarnation proc encode)
+           maybe_capture_checkpoint t vst ~unit_idx ~inc proc encode)
    end);
-  vst.apis <- api :: vst.apis;
   api
 
 (* fork(2) under NVX: the leader allocates a fresh tuple (ring buffer),
@@ -2022,20 +2020,20 @@ let rec make_unit_api t vst ~unit_idx proc =
    ring before the child starts publishing; followers replay the event by
    forking their own child subscribed to that ring (§3.3.3). *)
 and nvx_fork t vst ~unit_idx parent_proc body =
-  let tuple = tuple_of_unit vst unit_idx in
+  let tuple = vst.inc.units.(unit_idx).u_tuple in
   let child_name =
     Printf.sprintf "%s.fork%d" vst.variant.Variant.v_name
-      (Array.length vst.unit_tuple)
+      (Array.length vst.inc.units)
   in
   let spawn_child_unit ~promoted ~new_tu child_proc ~pre =
     let child_unit = new_unit vst ~tuple:new_tu ~tid:0 ~promoted in
     let child_api = make_unit_api t vst ~unit_idx:child_unit child_proc in
-    vst.all_procs <- child_proc :: vst.all_procs;
+    vst.inc.all_procs <- child_proc :: vst.inc.all_procs;
     spawn_unit t vst ~name:child_name child_proc (fun () ->
         pre ();
         body child_api)
   in
-  let leading = t.leader_idx = vst.idx && vst.promoted.(unit_idx) in
+  let leading = t.leader_idx = vst.idx && vst.inc.units.(unit_idx).u_promoted in
   if leading then begin
     fault_leader_hook t vst parent_proc tuple;
     let new_tu = new_tuple t in
@@ -2047,14 +2045,14 @@ and nvx_fork t vst ~unit_idx parent_proc body =
     if streaming t tuple nfoll then
       publish_event t vst ~tuple ~nfoll ~wake:true ~disp:Syscall_table.Stream
         ~out:None (fun clock ->
-          Event.make ~kind:Event.Ev_fork ~tid:vst.unit_tid.(unit_idx)
+          Event.make ~kind:Event.Ev_fork ~tid:vst.inc.units.(unit_idx).u_tid
             ~args:[| new_tu |] ~ret:child_proc.Types.pid ~clock
             (Sysno.to_int Sysno.Fork));
     (* "The leader then continues execution, but the coordinator waits
        until all followers fork", so the child only starts once every
        live follower has subscribed to the new ring. *)
     let barrier () =
-      while t.tuple_ready.(new_tu) < alive_followers t do
+      while t.tuples.(new_tu).tp_ready < alive_followers t do
         E.Cond.wait t.ready_cond
       done
     in
@@ -2072,22 +2070,22 @@ and nvx_fork t vst ~unit_idx parent_proc body =
         raise
           (Divergence_kill
              "follower called fork but the leader streamed another event");
-      take_control_event t vst ~tuple ~tid:vst.unit_tid.(unit_idx) e;
+      take_control_event t vst ~tuple ~tid:vst.inc.units.(unit_idx).u_tid e;
       let new_tu = e.Event.args.(0) in
       let child_proc = K.fork_proc t.k parent_proc child_name in
       E.consume (t.cost.Cost.native_base Sysno.Fork);
-      vst.consumers.(new_tu) <- Some (Ring.subscribe t.rings.(new_tu));
+      ignore (subscribe t vst new_tu);
+      let tp = t.tuples.(new_tu) in
       (* A catching-up follower replays this Ev_fork from the tape while
          the child tuple's live ring may be far ahead: the child unit
          gets its own catch-up range ending at that ring's head. *)
-      (if t.lifecycle <> None then begin
-         let head = Ring.published t.rings.(new_tu) in
-         if head > 0 then begin
-           vst.catchup_pos.(new_tu) <- 0;
-           vst.catchup_until.(new_tu) <- head
-         end
+      (let head = Ring.published tp.tp_ring in
+       if tp.tp_tape <> None && head > 0 then begin
+         let cu = vst.inc.cursors.(new_tu) in
+         cu.cu_pos <- 0;
+         cu.cu_until <- head
        end);
-      t.tuple_ready.(new_tu) <- t.tuple_ready.(new_tu) + 1;
+      tp.tp_ready <- tp.tp_ready + 1;
       E.Cond.broadcast t.ready_cond;
       spawn_child_unit ~promoted:false ~new_tu child_proc
         ~pre:(fun () -> ());
@@ -2097,10 +2095,10 @@ and nvx_fork t vst ~unit_idx parent_proc body =
 let start_units t vst =
   let program = vst.variant.Variant.program in
   let main_proc =
-    match vst.main_proc with Some p -> p | None -> assert false
+    match vst.inc.main_proc with Some p -> p | None -> assert false
   in
   let nunits = program.Variant.units in
-  vst.unit_procs <-
+  let unit_procs =
     Array.init nunits (fun u ->
         match program.Variant.unit_kind with
         | Variant.Thread -> main_proc
@@ -2108,22 +2106,23 @@ let start_units t vst =
           if u = 0 then main_proc
           else
             K.fork_proc t.k main_proc
-              (Printf.sprintf "%s.worker%d" vst.variant.Variant.v_name u));
-  vst.all_procs <-
+              (Printf.sprintf "%s.worker%d" vst.variant.Variant.v_name u))
+  in
+  vst.inc.all_procs <-
     Array.fold_left
       (fun acc p -> if List.memq p acc then acc else p :: acc)
-      vst.all_procs vst.unit_procs;
+      vst.inc.all_procs unit_procs;
   for u = 0 to nunits - 1 do
-    let proc = vst.unit_procs.(u) in
+    let proc = unit_procs.(u) in
     let api = make_unit_api t vst ~unit_idx:u proc in
     (* Apply the respawn's chosen checkpoint: reinstate the snapshotted
        descriptor table and hand the program its own encoded state to
        fast-forward from, before the unit body runs. *)
-    (match vst.pending_restore with
+    (match vst.inc.pending_restore with
     | Some cp when u = 0 ->
       K.restore_fds t.k proc cp.Checkpoint.cp_fds;
       api.Api.resume_state <- Some cp.Checkpoint.cp_state;
-      vst.pending_restore <- None
+      vst.inc.pending_restore <- None
     | _ -> ());
     spawn_unit t vst
       ~name:(Printf.sprintf "%s.unit%d" vst.variant.Variant.v_name u)
@@ -2210,56 +2209,36 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
       "Session.launch: the follower lifecycle manager requires shared-ring \
        streaming";
   let ring_size = effective_ring_size config in
-  let pump_queues =
-    match config.Config.streaming with
-    | Config.Shared_ring -> None
-    | Config.Event_pump ->
-      Some
-        (Array.init ntuples (fun tu ->
-             Array.init nvariants (fun v ->
-                 Ring.create ~size:ring_size
-                   (Printf.sprintf "pump%d.%d" tu v))))
+  let tuples =
+    Array.init ntuples (fun tu ->
+        let pump =
+          match config.Config.streaming with
+          | Config.Shared_ring -> [||]
+          | Config.Event_pump ->
+            Array.init nvariants (fun v ->
+                Ring.create ~size:ring_size (Printf.sprintf "pump%d.%d" tu v))
+        in
+        make_tuple config tu ~pump)
   in
   let vstates =
     Array.mapi
       (fun idx variant ->
-        let vst =
-          {
-            idx;
-            variant;
-            vrole = Follower;
-            main_proc = None;
-            unit_procs = [||];
-            consumers = [||];
-            lanes = None;
-            compiled_rules = None;
-            clocks = [||];
-            promoted = [||];
-            unit_tuple = [||];
-            unit_tid = [||];
-            partial_consumed = Hashtbl.create 4;
-            drop_release = false;
-            alive = true;
-            catchup_pos = [||];
-            catchup_until = [||];
-            incarnation = 0;
-            all_procs = [];
-            table = Syscall_table.follower;
-            trap_share_c1000 = 0;
-            rewrite = None;
-            trap_acc = 0;
-            pristine_code = None;
-            spawn_ns = 0.;
-            spawn_preps = 0;
-            st = fresh_vstats ();
-            apis = [];
-            checkpoint_due = false;
-            last_checkpoint_at = 0L;
-            pending_restore = None;
-          }
-        in
-        reset_shape vst ~ntuples ~leading:(idx = 0);
-        vst)
+        {
+          idx;
+          variant;
+          inc = incarnation variant tuples ~gen:0 ~leading:(idx = 0);
+          lanes = None;
+          compiled_rules = None;
+          trap_share_c1000 = 0;
+          rewrite = None;
+          trap_acc = 0;
+          pristine_code = None;
+          spawn_ns = 0.;
+          spawn_preps = 0;
+          st = fresh_vstats ();
+          checkpoint_due = false;
+          last_checkpoint_at = 0L;
+        })
       variants
   in
   let t =
@@ -2268,9 +2247,7 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
       cfg = config;
       cost = config.Config.cost;
       pool = Pool.create ();
-      ntuples;
-      rings = [||];
-      pump_queues;
+      tuples;
       vstates;
       leader_idx = 0;
       payload_refs = Hashtbl.create 64;
@@ -2287,15 +2264,12 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
         (match config.Config.lifecycle with
         | Some p -> Some (Lifecycle.create ?scope p ~variants:nvariants)
         | None -> None);
-      tapes = [||];
       (* The checkpoint store stays per-session even under a shared hub:
          snapshots are keyed by variant index, which collides across
          sessions. Only the zygote and the rewrite cache are shared. *)
       checkpoints = Checkpoint.create ?scope ();
       degraded = None;
       max_lag = 0;
-      waitlock_sleepers = [||];
-      tuple_ready = [||];
       ready_cond = E.Cond.create "fork-ready";
       divergence_log = [];
       divergence_log_len = 0;
@@ -2323,12 +2297,9 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
           Trace.instant ~ts:at ~pid:t.trace_pid ~tid:idx
             ~args:
               (Printf.sprintf "\"from\":\"%s\",\"to\":\"%s\",\"reason\":\"%s\""
-                 from_ to_ (Trace.json_escape reason))
+                 from_ to_ (Varan_util.Stats.json_escape reason))
             ("lifecycle:" ^ to_))
   | None -> ());
-  for tu = 0 to ntuples - 1 do
-    setup_tuple t tu
-  done;
   (* Distributed mode: carve the last [remote_followers] variants onto a
      simulated remote node behind the cross-node ring bridge. Must wire
      up before the first publish on ring 0 — the bridge's sender
@@ -2399,7 +2370,7 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
       || not (List.mem e.Event.sysno reproducible)
     in
     let bridge =
-      Bridge.create ~local_node ~remote_node ~local:t.rings.(0) ~mirror
+      Bridge.create ~local_node ~remote_node ~local:t.tuples.(0).tp_ring ~mirror
         ~latency:ncfg.Config.link_latency ~faults ~materialize ~discard
         ~must_replicate ()
     in
@@ -2425,81 +2396,71 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
     E.add_ticker k.Types.eng ~period:p.Lifecycle.watchdog_period (fun () ->
         watchdog_tick t)
   | None -> ());
-  (* Register ring consumers for followers (and pump consumers). *)
-  (match pump_queues with
-  | None ->
-    (* Multi-threaded variants get per-tid lanes in front of the ring;
-       catch-up replay (lifecycle mode) reads the tape through the shared
-       cursor, so lanes are reserved for the live-only configuration. *)
-    let use_lanes =
-      config.Config.lifecycle = None
-      && shape.Variant.units > 1
-      && shape.Variant.unit_kind = Variant.Thread
-    in
+  (* Subscribe every follower's cursors, each to its {!source}. *)
+  Array.iter
+    (fun vst ->
+      if vst.idx <> 0 then
+        Array.iteri (fun tu _ -> ignore (subscribe t vst tu)) t.tuples)
+    vstates;
+  (* Multi-threaded variants get per-tid lanes in front of the ring;
+     catch-up replay (lifecycle mode) reads the tape through the shared
+     cursor, so lanes are reserved for the live-only configuration. *)
+  if
+    config.Config.lifecycle = None
+    && (not (event_pump t))
+    && shape.Variant.units > 1
+    && shape.Variant.unit_kind = Variant.Thread
+  then
     Array.iter
       (fun vst ->
-        if vst.idx <> 0 then begin
-          for tu = 0 to ntuples - 1 do
-            vst.consumers.(tu) <- Some (Ring.subscribe (source_ring t vst.idx tu))
-          done;
-          if use_lanes then
-            vst.lanes <-
-              Some
-                (Lanes.create
-                   ~consumer:(stream_consumer vst 0)
-                   ~is_sync:lane_sync_event
-                   ~capacity:(max 64 (2 * shape.Variant.units))
-                   ~on_route:(fun e ->
-                     (* The Lamport check runs here, at demux time, where
-                        stream order is still visible (§3.3.3). *)
-                     if not (Lamport.try_advance vst.clocks.(0) e.Event.clock)
-                     then
-                       raise
-                         (Divergence_kill
-                            (Printf.sprintf
-                               "clock violation at demux: at %d got stamp %d"
-                               (Lamport.current vst.clocks.(0))
-                               e.Event.clock))))
-        end)
-      vstates
-  | Some pq ->
-    (* The pump is the only consumer of the leader's queues; followers
-       each consume their own queue (consumer id 0 by construction). *)
-    for tu = 0 to ntuples - 1 do
-      let pump_consumer = Ring.subscribe t.rings.(tu) in
-      Array.iter
-        (fun vst ->
-          if vst.idx <> 0 then begin
-            let c = Ring.subscribe pq.(tu).(vst.idx) in
-            assert (Ring.consumer_cid c = 0);
-            vst.consumers.(tu) <- Some c
-          end)
-        vstates;
-      ignore
-        (E.spawn k.Types.eng ~name:(Printf.sprintf "event-pump%d" tu)
-           (fun () ->
-             let c = t.cost in
-             (* Drain the leader's queue in runs: a lagging pump catches
-                up with one gate check and one wakeup per batch instead
-                of per event. Per-event costs are still charged. *)
-             let rec loop () =
-               let batch =
-                 Array.of_list
-                   (Ring.consume_batch_h pump_consumer ~max:64)
+        if vst.idx <> 0 then
+          vst.lanes <-
+            Some
+              (Lanes.create
+                 ~consumer:(consumer vst.inc.cursors.(0))
+                 ~is_sync:lane_sync_event
+                 ~capacity:(max 64 (2 * shape.Variant.units))
+                 ~on_route:(fun e ->
+                   (* The Lamport check runs here, at demux time, where
+                      stream order is still visible (§3.3.3). *)
+                   let clock = vst.inc.cursors.(0).cu_clock in
+                   if not (Lamport.try_advance clock e.Event.clock) then
+                     raise
+                       (Divergence_kill
+                          (Printf.sprintf
+                             "clock violation at demux: at %d got stamp %d"
+                             (Lamport.current clock) e.Event.clock)))))
+      vstates;
+  (* Event pump: the pump is the only consumer of the leader's queues and
+     copies every event into each live follower's private queue. *)
+  if event_pump t then
+    Array.iteri
+      (fun tu tp ->
+        let pump_consumer = Ring.subscribe tp.tp_ring in
+        ignore
+          (E.spawn k.Types.eng ~name:(Printf.sprintf "event-pump%d" tu)
+             (fun () ->
+               let c = t.cost in
+               (* Drain the leader's queue in runs: a lagging pump catches
+                  up with one gate check and one wakeup per batch instead
+                  of per event. Per-event costs are still charged. *)
+               let rec loop () =
+                 let batch =
+                   Array.of_list (Ring.consume_batch_h pump_consumer ~max:64)
+                 in
+                 let n = Array.length batch in
+                 E.consume (c.Cost.consume_event * n);
+                 Array.iter
+                   (fun vst ->
+                     if vst.idx <> t.leader_idx && vst.inc.alive then begin
+                       E.consume (c.Cost.publish_event * n);
+                       Ring.publish_batch tp.tp_pump.(vst.idx) batch
+                     end)
+                   vstates;
+                 loop ()
                in
-               let n = Array.length batch in
-               E.consume (c.Cost.consume_event * n);
-               Array.iter
-                 (fun vst ->
-                   if vst.idx <> t.leader_idx && vst.alive then begin
-                     E.consume (c.Cost.publish_event * n);
-                     Ring.publish_batch pq.(tu).(vst.idx) batch
-                   end)
-                 vstates;
-               loop ()
-             in
-             loop ()))
-    done);
+               loop ())))
+      t.tuples;
   (* Coordinator: spawn (or join) the zygote, fork each variant through
      it, prepare images and start execution units (Figure 2). *)
   let launcher proc ~name =
@@ -2508,7 +2469,7 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
     with
     | None -> ()
     | Some vst ->
-      vst.main_proc <- Some proc;
+      vst.inc.main_proc <- Some proc;
       (* Every incarnation goes through prepare_image: the zygote
          forks from the pristine copy (Figure 2), and the rewrite
          cache turns everything after the first launch of a given
@@ -2563,11 +2524,11 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
 (* ------------------------------------------------------------------ *)
 
 let leader_index t = t.leader_idx
-let role_of t idx = t.vstates.(idx).vrole
-let is_alive t idx = t.vstates.(idx).alive
+let role_of t idx = t.vstates.(idx).inc.role
+let is_alive t idx = t.vstates.(idx).inc.alive
 
 let alive_count t =
-  Array.fold_left (fun n v -> if v.alive then n + 1 else n) 0 t.vstates
+  Array.fold_left (fun n v -> if v.inc.alive then n + 1 else n) 0 t.vstates
 
 let crashes t = List.rev t.crash_list
 let crash_log_nonempty t = t.crash_list <> []
@@ -2624,8 +2585,8 @@ let stats t =
         (fun vst ->
           {
             vs_name = vst.variant.Variant.v_name;
-            vs_role = vst.vrole;
-            vs_alive = vst.alive;
+            vs_role = vst.inc.role;
+            vs_alive = vst.inc.alive;
             vs_syscalls = vst.st.syscalls;
             vs_local_calls = vst.st.local_calls;
             vs_events_published = vst.st.events_published;
@@ -2642,18 +2603,22 @@ let stats t =
             vs_trap_dispatches = vst.st.trap_dispatches;
             vs_vdso_dispatches = vst.st.vdso_dispatches;
             vs_injected_stalls = vst.st.injected_stalls;
-            vs_incarnation = vst.incarnation;
+            vs_incarnation = vst.inc.gen;
             vs_rewrite = vst.rewrite;
             vs_spawn_ns = vst.spawn_ns;
             vs_spawn_preps = vst.spawn_preps;
           })
         t.vstates;
-    rings = Array.map Ring.stats t.rings;
+    rings = Array.map (fun tp -> Ring.stats tp.tp_ring) t.tuples;
     pool = Pool.stats t.pool;
     max_observed_lag = t.max_lag;
     rewrite_cache = Rewrite_cache.stats t.rewrite_cache;
     checkpoints = Checkpoint.stats t.checkpoints;
-    tapes = Array.map Tape.stats t.tapes;
+    tapes =
+      Array.of_list
+        (List.filter_map
+           (fun tp -> Option.map Tape.stats tp.tp_tape)
+           (Array.to_list t.tuples));
     bridge = Option.map (fun ns -> Bridge.stats ns.n_bridge) t.net;
     link = Option.map (fun ns -> Bridge.link_stats ns.n_bridge) t.net;
   }
@@ -2667,8 +2632,11 @@ let trace_lines t =
 
 let sample_lag t idx =
   let vst = t.vstates.(idx) in
-  if vst.alive && idx <> t.leader_idx && vst.consumers.(0) <> None then
-    stream_lag t vst 0
+  if
+    vst.inc.alive && idx <> t.leader_idx
+    && vst.inc.cursors.(0).cu_consumer <> None
+  then
+    stream_lag vst 0
   else 0
 
 let observe_lags t =
@@ -2676,10 +2644,10 @@ let observe_lags t =
     (fun vst -> t.max_lag <- max t.max_lag (sample_lag t vst.idx))
     t.vstates
 
-let tuple_ring (t : t) tu = t.rings.(tu)
+let tuple_ring (t : t) tu = t.tuples.(tu).tp_ring
 
 let tuple_tape (t : t) tu =
-  if tu < Array.length t.tapes then Some t.tapes.(tu) else None
+  if tu < Array.length t.tuples then t.tuples.(tu).tp_tape else None
 
 let checkpoint_store (t : t) = t.checkpoints
 let flight (t : t) = t.fl

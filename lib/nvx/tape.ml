@@ -6,10 +6,11 @@ module Event = Varan_ringbuf.Event
    payload freed. A respawned follower replays entries [from, splice)
    and then switches to the live ring at sequence [splice].
 
-   Entries keep the original Lamport stamp, tid and descriptor grant, so
-   the ordinary follower-replay path consumes them unchanged and the
-   rejoined variant's descriptor tables and clocks come out identical to
-   a follower that never left.
+   Entries are the flattened stream events themselves ({!Event.flatten}):
+   they keep the original Lamport stamp, tid and descriptor grant, so the
+   ordinary follower-replay path consumes them unchanged and the rejoined
+   variant's descriptor tables and clocks come out identical to a
+   follower that never left.
 
    For a million-event stream a flat entry array is the recorder's space
    problem, so the tape is chunked: entries land in a small open segment
@@ -19,17 +20,6 @@ module Event = Varan_ringbuf.Event
    retired wholesale, which keeps resident bytes bounded while absolute
    indices stay stable: entry [i] is entry [i] forever, and reads below
    {!base} raise {!Truncated} instead of silently shifting. *)
-
-type entry = {
-  t_kind : Event.kind;
-  t_sysno : int;
-  t_tid : int;
-  t_args : int array;
-  t_ret : int;
-  t_clock : int;
-  t_out : Bytes.t option; (* payloads flattened to inline bytes *)
-  t_grant : Obj.t option;
-}
 
 exception Truncated of { requested : int; base : int }
 
@@ -55,7 +45,9 @@ type seg = {
 type t = {
   seg_entries : int;
   sealed : (int, seg) Hashtbl.t; (* segment number -> sealed image *)
-  open_buf : entry array; (* the one mutable segment, being filled *)
+  (* The one mutable segment, being filled; allocated by the first
+     append, and overwritten in place after each seal. *)
+  mutable open_buf : Event.t array;
   mutable open_first : int; (* absolute index of open_buf.(0) *)
   mutable open_len : int;
   mutable open_bytes : int; (* raw-size estimate of the open segment *)
@@ -65,7 +57,7 @@ type t = {
      times in a row (stream_peek re-reads the head index), so we keep
      the last decoded segment around. *)
   mutable cache_segno : int;
-  mutable cache_entries : entry array;
+  mutable cache_entries : Event.t array;
   (* stats *)
   mutable c_sealed : int;
   mutable c_retired : int;
@@ -81,18 +73,6 @@ type stats = {
   raw_bytes : int;
 }
 
-let dummy =
-  {
-    t_kind = Event.Ev_syscall;
-    t_sysno = 0;
-    t_tid = 0;
-    t_args = [||];
-    t_ret = 0;
-    t_clock = 0;
-    t_out = None;
-    t_grant = None;
-  }
-
 let default_segment_entries = 256
 
 let create ?(segment_entries = default_segment_entries) () =
@@ -100,7 +80,7 @@ let create ?(segment_entries = default_segment_entries) () =
   {
     seg_entries = segment_entries;
     sealed = Hashtbl.create 32;
-    open_buf = Array.make segment_entries dummy;
+    open_buf = [||];
     open_first = 0;
     open_len = 0;
     open_bytes = 0;
@@ -118,88 +98,110 @@ let length t = t.total
 let base t = t.base
 
 (* ------------------------------------------------------------------ *)
-(* Entry wire format (within a sealed segment)                         *)
+(* Event byte codec: sealed segments and the record/replay log          *)
 (*   u8 kind | u8 tid | u8 nargs | i32 sysno | i32 clock | i64 ret     *)
 (*   | i64 args[nargs] | i32 outlen (-1 = no result buffer) | bytes    *)
 (* ------------------------------------------------------------------ *)
 
-let int_of_kind = function
-  | Event.Ev_syscall -> 0
-  | Event.Ev_signal -> 1
-  | Event.Ev_fork -> 2
-  | Event.Ev_exit -> 3
-
-let kind_of_int = function
-  | 0 -> Event.Ev_syscall
-  | 1 -> Event.Ev_signal
-  | 2 -> Event.Ev_fork
-  | 3 -> Event.Ev_exit
-  | n -> invalid_arg (Printf.sprintf "Tape: bad event kind %d" n)
-
-let entry_raw_size (e : entry) =
+let raw_size (e : Event.t) =
   3 + 4 + 4 + 8
-  + (8 * Array.length e.t_args)
+  + (8 * Array.length e.Event.args)
   + 4
-  + (match e.t_out with None -> 0 | Some b -> Bytes.length b)
+  + (match e.Event.inline_out with None -> 0 | Some b -> Bytes.length b)
 
-let serialize_entry buf (e : entry) =
-  Buffer.add_uint8 buf (int_of_kind e.t_kind);
-  Buffer.add_uint8 buf (e.t_tid land 0xFF);
-  Buffer.add_uint8 buf (Array.length e.t_args);
-  Buffer.add_int32_le buf (Int32.of_int e.t_sysno);
-  Buffer.add_int32_le buf (Int32.of_int e.t_clock);
-  Buffer.add_int64_le buf (Int64.of_int e.t_ret);
-  Array.iter (fun a -> Buffer.add_int64_le buf (Int64.of_int a)) e.t_args;
-  match e.t_out with
-  | None -> Buffer.add_int32_le buf (-1l)
+let encode_header buf (e : Event.t) ~outlen =
+  Buffer.add_uint8 buf
+    (match e.Event.kind with
+    | Event.Ev_syscall -> 0
+    | Event.Ev_signal -> 1
+    | Event.Ev_fork -> 2
+    | Event.Ev_exit -> 3);
+  Buffer.add_uint8 buf (e.Event.tid land 0xFF);
+  Buffer.add_uint8 buf (Array.length e.Event.args);
+  Buffer.add_int32_le buf (Int32.of_int e.Event.sysno);
+  Buffer.add_int32_le buf (Int32.of_int e.Event.clock);
+  Buffer.add_int64_le buf (Int64.of_int e.Event.ret);
+  Array.iter (fun a -> Buffer.add_int64_le buf (Int64.of_int a)) e.Event.args;
+  Buffer.add_int32_le buf (Int32.of_int outlen)
+
+let encode buf (e : Event.t) =
+  match e.Event.inline_out with
+  | None -> encode_header buf e ~outlen:(-1)
   | Some b ->
-    Buffer.add_int32_le buf (Int32.of_int (Bytes.length b));
+    encode_header buf e ~outlen:(Bytes.length b);
     Buffer.add_bytes buf b
 
-let deserialize_entry raw pos =
+(* A record cut off mid-header or mid-payload, or carrying an impossible
+   kind or length. *)
+exception Short
+
+let decode data pos =
+  let len = Bytes.length data in
   let p = ref pos in
+  let need n = if !p + n > len then raise Short in
   let u8 () =
-    let v = Char.code (Bytes.get raw !p) in
+    need 1;
+    let v = Bytes.get_uint8 data !p in
     incr p;
     v
   in
   let i32 () =
-    let v = Int32.to_int (Bytes.get_int32_le raw !p) in
+    need 4;
+    let v = Int32.to_int (Bytes.get_int32_le data !p) in
     p := !p + 4;
     v
   in
   let i64 () =
-    let v = Int64.to_int (Bytes.get_int64_le raw !p) in
+    need 8;
+    let v = Int64.to_int (Bytes.get_int64_le data !p) in
     p := !p + 8;
     v
   in
-  let kind = kind_of_int (u8 ()) in
-  let tid = u8 () in
-  let nargs = u8 () in
-  let sysno = i32 () in
-  let clock = i32 () in
-  let ret = i64 () in
-  let args = Array.init nargs (fun _ -> i64 ()) in
-  let outlen = i32 () in
-  let out =
-    if outlen < 0 then None
-    else begin
-      let b = Bytes.sub raw !p outlen in
-      p := !p + outlen;
-      Some b
-    end
-  in
-  ( {
-      t_kind = kind;
-      t_sysno = sysno;
-      t_tid = tid;
-      t_args = args;
-      t_ret = ret;
-      t_clock = clock;
-      t_out = out;
-      t_grant = None;
-    },
-    !p )
+  try
+    let kind =
+      match u8 () with
+      | 0 -> Event.Ev_syscall
+      | 1 -> Event.Ev_signal
+      | 2 -> Event.Ev_fork
+      | 3 -> Event.Ev_exit
+      | _ -> raise Short
+    in
+    let tid = u8 () in
+    let nargs = u8 () in
+    let sysno = i32 () in
+    let clock = i32 () in
+    let ret = i64 () in
+    (* An explicit loop: the reads must land in stream order. *)
+    let args = Array.make nargs 0 in
+    for i = 0 to nargs - 1 do
+      args.(i) <- i64 ()
+    done;
+    let outlen = i32 () in
+    let inline_out =
+      if outlen = -1 then None
+      else if outlen < -1 then raise Short
+      else begin
+        need outlen;
+        let b = Bytes.sub data !p outlen in
+        p := !p + outlen;
+        Some b
+      end
+    in
+    Some
+      ( {
+          Event.kind;
+          sysno;
+          tid;
+          args;
+          ret;
+          clock;
+          payload = None;
+          payload_len = 0;
+          inline_out;
+          grant = None;
+        },
+        !p )
+  with Short -> None
 
 (* ------------------------------------------------------------------ *)
 (* PackBits run-length coding                                          *)
@@ -279,10 +281,10 @@ let seal t =
   let grants = ref [] in
   for i = 0 to t.seg_entries - 1 do
     let e = t.open_buf.(i) in
-    (match e.t_grant with
+    (match e.Event.grant with
     | Some g -> grants := (i, g) :: !grants
     | None -> ());
-    serialize_entry buf e
+    encode buf e
   done;
   let raw = Buffer.to_bytes buf in
   let packed = pack raw in
@@ -298,12 +300,11 @@ let seal t =
   t.c_sealed <- t.c_sealed + 1;
   t.c_packed_bytes <- t.c_packed_bytes + Bytes.length packed;
   t.c_raw_bytes <- t.c_raw_bytes + seg.s_raw_len;
-  Array.fill t.open_buf 0 t.seg_entries dummy;
   t.open_first <- t.open_first + t.seg_entries;
   t.open_len <- 0;
   t.open_bytes <- 0
 
-let decode t segno =
+let decode_segment t segno =
   if t.cache_segno = segno then t.cache_entries
   else begin
     let seg =
@@ -316,12 +317,14 @@ let decode t segno =
     let pos = ref 0 in
     let entries =
       Array.init t.seg_entries (fun _ ->
-          let e, p = deserialize_entry raw !pos in
-          pos := p;
-          e)
+          match decode raw !pos with
+          | Some (e, p) ->
+            pos := p;
+            e
+          | None -> invalid_arg "Tape: corrupt segment")
     in
     Array.iter
-      (fun (i, g) -> entries.(i) <- { (entries.(i)) with t_grant = Some g })
+      (fun (i, g) -> entries.(i) <- { (entries.(i)) with Event.grant = Some g })
       seg.s_grants;
     t.cache_segno <- segno;
     t.cache_entries <- entries;
@@ -337,46 +340,18 @@ let decode t segno =
    runs inside Ring.publish_k. *)
 let append t (e : Event.t) ~out =
   if t.open_len = t.seg_entries then seal t;
-  let en =
-    {
-      t_kind = e.Event.kind;
-      t_sysno = e.Event.sysno;
-      t_tid = e.Event.tid;
-      t_args = e.Event.args;
-      t_ret = e.Event.ret;
-      t_clock = e.Event.clock;
-      t_out = out;
-      t_grant = e.Event.grant;
-    }
-  in
-  t.open_buf.(t.open_len) <- en;
+  let e = Event.flatten e ~out in
+  if Array.length t.open_buf = 0 then t.open_buf <- Array.make t.seg_entries e;
+  t.open_buf.(t.open_len) <- e;
   t.open_len <- t.open_len + 1;
-  t.open_bytes <- t.open_bytes + entry_raw_size en;
+  t.open_bytes <- t.open_bytes + raw_size e;
   t.total <- t.total + 1
 
 let get t i =
   if i < 0 || i >= t.total then invalid_arg "Tape.get: out of range";
   if i < t.base then raise (Truncated { requested = i; base = t.base });
   if i >= t.open_first then t.open_buf.(i - t.open_first)
-  else (decode t (i / t.seg_entries)).(i mod t.seg_entries)
-
-(* Reconstruct a stream event from a tape entry. The payload travels
-   inline regardless of size: the pool chunk it came from is long gone. *)
-let event_of_entry (en : entry) : Event.t =
-  {
-    Event.kind = en.t_kind;
-    sysno = en.t_sysno;
-    tid = en.t_tid;
-    args = en.t_args;
-    ret = en.t_ret;
-    clock = en.t_clock;
-    payload = None;
-    payload_len = 0;
-    inline_out = en.t_out;
-    grant = en.t_grant;
-  }
-
-let event_at t i = event_of_entry (get t i)
+  else (decode_segment t (i / t.seg_entries)).(i mod t.seg_entries)
 
 let iter f t =
   for i = t.base to t.total - 1 do

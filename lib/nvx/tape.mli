@@ -2,10 +2,11 @@
     catch-up).
 
     When the lifecycle manager is enabled, the session appends every
-    published event to a per-tuple tape, flattened: shared-memory
-    payloads are copied to inline bytes at capture time (before the pool
-    chunk can be recycled), while tid, args, return value, Lamport stamp
-    and descriptor grant are kept verbatim. A follower respawned from
+    published event to a per-tuple tape, flattened
+    ({!Varan_ringbuf.Event.flatten}): shared-memory payloads are copied
+    to inline bytes at capture time (before the pool chunk can be
+    recycled), while tid, args, return value, Lamport stamp and
+    descriptor grant are kept verbatim. A follower respawned from
     the zygote replays tape entries [restore, splice) through the
     ordinary replay path and then switches to the live ring at sequence
     [splice] — the recorded window is exactly what it missed.
@@ -20,17 +21,6 @@
     {!Record_replay.serialize_tape} bridges a tape into the on-disk
     record/replay log format, which is how a degraded session's retained
     stream can later provision fresh followers. *)
-
-type entry = {
-  t_kind : Varan_ringbuf.Event.kind;
-  t_sysno : int;
-  t_tid : int;
-  t_args : int array;
-  t_ret : int;
-  t_clock : int;
-  t_out : Bytes.t option;
-  t_grant : Obj.t option;
-}
 
 type t
 
@@ -54,19 +44,14 @@ val append : t -> Varan_ringbuf.Event.t -> out:Bytes.t option -> unit
     (pool payload or inline), already materialized by the publisher.
     Pure — callable from inside {!Varan_ringbuf.Ring.publish_k}. *)
 
-val get : t -> int -> entry
-(** @raise Invalid_argument outside [0, length).
+val get : t -> int -> Varan_ringbuf.Event.t
+(** The flattened event at index [i]: its result buffer travels inline
+    regardless of size (the pool chunk is long gone). Sequential scans
+    are cheap: the last decoded segment is cached.
+    @raise Invalid_argument outside [0, length).
     @raise Truncated below {!base}. *)
 
-val event_of_entry : entry -> Varan_ringbuf.Event.t
-(** Reconstruct a stream event; the payload travels inline regardless of
-    size (the pool chunk is long gone). *)
-
-val event_at : t -> int -> Varan_ringbuf.Event.t
-(** [event_of_entry (get t i)]. Sequential scans are cheap: the last
-    decoded segment is cached. *)
-
-val iter : (entry -> unit) -> t -> unit
+val iter : (Varan_ringbuf.Event.t -> unit) -> t -> unit
 (** Iterate the retained window [{!base}, {!length}) in order. *)
 
 val retire : t -> keep_from:int -> unit
@@ -90,3 +75,25 @@ type stats = {
 }
 
 val stats : t -> stats
+
+(** {2 Event byte codec}
+
+    The byte layout of one event inside a sealed segment, shared with
+    the {!Record_replay} log:
+    [u8 kind | u8 tid | u8 nargs | i32 sysno | i32 clock | i64 ret |
+     i64 args[nargs] | i32 outlen | outlen bytes], little-endian, with
+    [outlen = -1] when the event carries no result buffer. Pool payloads
+    and descriptor grants are not encoded. *)
+
+val encode_header : Buffer.t -> Varan_ringbuf.Event.t -> outlen:int -> unit
+(** Everything up to and including [outlen]; the caller appends the
+    [outlen] result bytes (e.g. straight out of a pool chunk). *)
+
+val encode : Buffer.t -> Varan_ringbuf.Event.t -> unit
+(** The whole record, with [inline_out] as the result buffer. *)
+
+val decode : Bytes.t -> int -> (Varan_ringbuf.Event.t * int) option
+(** [decode data pos] reads the record at [pos] and returns the event
+    (result buffer inline, no payload, no grant) and the position after
+    it. [None] when the record is cut off mid-header or mid-payload, or
+    carries an unknown kind or an [outlen] below [-1]. *)

@@ -14,6 +14,8 @@
    registry uses: "shard3", or "" for an unscoped session), so a sharded
    deployment gets one black box per shard. *)
 
+module Stats = Varan_util.Stats
+
 type entry = {
   ev_at : int64; (* engine vtime, cycles *)
   ev_lamport : int;
@@ -117,20 +119,6 @@ let dump_dir = ref "."
 let serial = ref 0
 let last_dump : string option ref = ref None
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let dump t ~at ~reason =
   incr serial;
   t.dumps <- t.dumps + 1;
@@ -141,11 +129,11 @@ let dump t ~at ~reason =
   in
   let oc = open_out path in
   Printf.fprintf oc "{\n  \"scope\": \"%s\",\n  \"reason\": \"%s\",\n"
-    (json_escape t.fl_scope) (json_escape reason);
+    (Stats.json_escape t.fl_scope) (Stats.json_escape reason);
   Printf.fprintf oc "  \"at\": %Ld,\n" at;
   Printf.fprintf oc "  \"events_recorded\": %d,\n" t.total;
   Printf.fprintf oc "  \"checkpoint_seq\": %d,\n" t.checkpoint_seq;
-  Printf.fprintf oc "  \"link\": \"%s\",\n" (json_escape t.link);
+  Printf.fprintf oc "  \"link\": \"%s\",\n" (Stats.json_escape t.link);
   output_string oc "  \"events\": [\n";
   let es = entries t in
   let n = List.length es in
@@ -154,7 +142,8 @@ let dump t ~at ~reason =
       Printf.fprintf oc
         "    {\"at\": %Ld, \"lamport\": %d, \"tag\": \"%s\", \"detail\": \
          \"%s\"}%s\n"
-        e.ev_at e.ev_lamport (json_escape e.ev_tag) (json_escape e.ev_detail)
+        e.ev_at e.ev_lamport (Stats.json_escape e.ev_tag)
+        (Stats.json_escape e.ev_detail)
         (if i = n - 1 then "" else ","))
     es;
   output_string oc "  ],\n  \"transitions\": [\n";
@@ -165,14 +154,15 @@ let dump t ~at ~reason =
       Printf.fprintf oc
         "    {\"at\": %Ld, \"idx\": %d, \"from\": \"%s\", \"to\": \"%s\", \
          \"reason\": \"%s\"}%s\n"
-        tr.tr_at tr.tr_idx (json_escape tr.tr_from) (json_escape tr.tr_to)
-        (json_escape tr.tr_reason)
+        tr.tr_at tr.tr_idx (Stats.json_escape tr.tr_from)
+        (Stats.json_escape tr.tr_to)
+        (Stats.json_escape tr.tr_reason)
         (if i = n - 1 then "" else ","))
     trs;
   output_string oc "  ],\n  \"counters\": {\n";
   let prefix = if t.fl_scope = "" then None else Some (t.fl_scope ^ ".") in
   let counters =
-    Varan_util.Stats.counters ()
+    Stats.counters ()
     |> List.filter (fun (name, _) ->
            match prefix with
            | None -> true
@@ -182,7 +172,7 @@ let dump t ~at ~reason =
   let n = List.length counters in
   List.iteri
     (fun i (name, v) ->
-      Printf.fprintf oc "    \"%s\": %d%s\n" (json_escape name) v
+      Printf.fprintf oc "    \"%s\": %d%s\n" (Stats.json_escape name) v
         (if i = n - 1 then "" else ","))
     counters;
   output_string oc "  }\n}\n";

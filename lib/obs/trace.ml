@@ -17,6 +17,8 @@
    reserve a pid per scope via [pid_of_scope] so their spans nest on
    their own tracks and never interleave with the engine slices. *)
 
+module Stats = Varan_util.Stats
+
 type kind = Begin | End | Instant
 
 let enabled = ref false
@@ -106,20 +108,6 @@ let end_span ~ts ?(lamport = 0) ?(pid = 0) ~tid name =
 let instant ~ts ?(lamport = 0) ?(pid = 0) ~tid ?(args = "") name =
   emit Instant ~ts ~lamport ~pid ~tid ~args name
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Chrome trace-event JSON. Timestamps are microseconds; the caller
    supplies the cycles-per-us conversion (the simulation's cost model
    clock). Process-name metadata rows label each scope's track group. *)
@@ -138,7 +126,7 @@ let write_chrome_json ?(cycles_per_us = 3500.0) path =
       sep ();
       Printf.fprintf oc
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-        pid (json_escape scope))
+        pid (Stats.json_escape scope))
     pids;
   (match !buf with
   | None -> ()
@@ -155,12 +143,12 @@ let write_chrome_json ?(cycles_per_us = 3500.0) path =
       if b.args.(i) = "" then
         Printf.fprintf oc
           "{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d%s,\"args\":{\"lamport\":%d}}"
-          (json_escape b.names.(i)) ph us b.pids.(i) b.tids.(i) extra
+          (Stats.json_escape b.names.(i)) ph us b.pids.(i) b.tids.(i) extra
           b.lamport.(i)
       else
         Printf.fprintf oc
           "{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d%s,\"args\":{\"lamport\":%d,%s}}"
-          (json_escape b.names.(i)) ph us b.pids.(i) b.tids.(i) extra
+          (Stats.json_escape b.names.(i)) ph us b.pids.(i) b.tids.(i) extra
           b.lamport.(i) b.args.(i)
     done;
     if b.dropped > 0 then begin

@@ -292,7 +292,7 @@ let run_seed seed =
    counters a sweep dashboard wants, without parsing prose. The [fails]
    list is whatever check layer the caller ran. *)
 let json_of_outcome ~fails case (out : outcome) =
-  let esc = Flight.json_escape in
+  let esc = Stats.json_escape in
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\"seed\": %d, \"followers\": %d, \"prog_len\": %d" case.seed

@@ -139,6 +139,12 @@ val remove_scope : string -> unit
 val clear_registry : unit -> unit
 (** Drop every counter and histogram registration. *)
 
+val json_escape : string -> string
+(** Escape a string for a JSON string literal: quote, backslash,
+    newline, and other control characters as [\u00XX]. The one escaper
+    behind every JSON file the program writes (stats, traces,
+    post-mortem bundles, bench records). *)
+
 val dump_json : unit -> string
 (** The whole registry — every counter and every histogram (count,
     moments, percentile estimates, non-empty buckets as

@@ -158,13 +158,18 @@ let spec_native_cycles params =
   E.run_until_quiescent eng;
   !done_at
 
-let spec_nvx_cycles params ~followers =
+(* Completion time of the leader (variant 0) when [launch] runs it with
+   [n] plain copies beside it. *)
+let spec_leader_cycles params ~n launch =
   let eng = E.create () in
   let k = K.create eng in
   Spec.setup_fs k;
   let leader_done = ref 0L in
-  let base = Spec.variant_of params (params.Spec.sp_name ^ ".v0") in
-  (* Wrap the leader's body to capture its completion time; followers
+  let variant i =
+    Spec.variant_of params (Printf.sprintf "%s.v%d" params.Spec.sp_name i)
+  in
+  let base = variant 0 in
+  (* Wrap the leader's body to capture its completion time; the others
      get plain copies. *)
   let leader =
     {
@@ -179,13 +184,12 @@ let spec_nvx_cycles params ~followers =
         };
     }
   in
-  let followers_v =
-    List.init followers (fun i ->
-        Spec.variant_of params (Printf.sprintf "%s.v%d" params.Spec.sp_name (i + 1)))
-  in
-  ignore (Nvx.launch k (leader :: followers_v));
+  launch k (leader :: List.init n (fun i -> variant (i + 1)));
   E.run_until_quiescent eng;
   !leader_done
+
+let spec_nvx_cycles params ~followers =
+  spec_leader_cycles params ~n:followers (fun k vs -> ignore (Nvx.launch k vs))
 
 let run_spec params ~followers =
   let native = Int64.to_float (spec_native_cycles params) in
@@ -193,31 +197,8 @@ let run_spec params ~followers =
   if native <= 0.0 then infinity else nvx /. native
 
 let spec_lockstep_cycles params ~versions =
-  let eng = E.create () in
-  let k = K.create eng in
-  Spec.setup_fs k;
-  let leader_done = ref 0L in
-  let base = Spec.variant_of params (params.Spec.sp_name ^ ".v0") in
-  let leader =
-    {
-      base with
-      Variant.program =
-        {
-          base.Variant.program with
-          Variant.body =
-            (fun ~unit_idx api ->
-              base.Variant.program.Variant.body ~unit_idx api;
-              leader_done := E.now_cycles ());
-        };
-    }
-  in
-  let others =
-    List.init (versions - 1) (fun i ->
-        Spec.variant_of params (Printf.sprintf "%s.v%d" params.Spec.sp_name (i + 1)))
-  in
-  ignore (Lockstep.launch k (leader :: others));
-  E.run_until_quiescent eng;
-  !leader_done
+  spec_leader_cycles params ~n:(versions - 1) (fun k vs ->
+      ignore (Lockstep.launch k vs))
 
 let run_spec_lockstep params ~versions =
   let native = Int64.to_float (spec_native_cycles params) in

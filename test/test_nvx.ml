@@ -969,22 +969,22 @@ let fill_tape tape n =
     Tape.append tape e ~out
   done
 
-let check_entry i (en : Tape.entry) =
+let check_entry i (en : Event.t) =
   let e, out = synthetic_event i in
   Alcotest.(check int) (Printf.sprintf "entry %d sysno" i) e.Event.sysno
-    en.Tape.t_sysno;
+    en.Event.sysno;
   Alcotest.(check int) (Printf.sprintf "entry %d tid" i) e.Event.tid
-    en.Tape.t_tid;
+    en.Event.tid;
   Alcotest.(check int) (Printf.sprintf "entry %d ret" i) e.Event.ret
-    en.Tape.t_ret;
+    en.Event.ret;
   Alcotest.(check int) (Printf.sprintf "entry %d clock" i) e.Event.clock
-    en.Tape.t_clock;
+    en.Event.clock;
   Alcotest.(check (array int)) (Printf.sprintf "entry %d args" i) e.Event.args
-    en.Tape.t_args;
+    en.Event.args;
   Alcotest.(check bool) (Printf.sprintf "entry %d kind" i) true
-    (e.Event.kind = en.Tape.t_kind);
+    (e.Event.kind = en.Event.kind);
   Alcotest.(check (option bytes)) (Printf.sprintf "entry %d out" i) out
-    en.Tape.t_out
+    en.Event.inline_out
 
 (* Entries survive sealing and run-length packing byte-for-byte, read
    back both sequentially (cached segment) and at random (decode). *)
@@ -1081,22 +1081,7 @@ let test_serialize_tape_roundtrip () =
   (* Only the retained window [256, 700) is encoded. *)
   Alcotest.(check int) "retained entries decoded" (700 - 256)
     (Array.length decoded);
-  Array.iteri
-    (fun j (kind, tid, sysno, clock, ret, args, out) ->
-      let i = 256 + j in
-      let e, eout = synthetic_event i in
-      Alcotest.(check bool) (Printf.sprintf "rec %d kind" i) true
-        (kind = e.Event.kind);
-      Alcotest.(check int) (Printf.sprintf "rec %d tid" i) e.Event.tid tid;
-      Alcotest.(check int) (Printf.sprintf "rec %d sysno" i) e.Event.sysno sysno;
-      Alcotest.(check int) (Printf.sprintf "rec %d clock" i) e.Event.clock clock;
-      Alcotest.(check int) (Printf.sprintf "rec %d ret" i) e.Event.ret ret;
-      Alcotest.(check (array int)) (Printf.sprintf "rec %d args" i) e.Event.args
-        args;
-      Alcotest.(check bytes) (Printf.sprintf "rec %d out" i)
-        (match eout with Some b -> b | None -> Bytes.empty)
-        out)
-    decoded;
+  Array.iteri (fun j r -> check_entry (256 + j) r) decoded;
   (* Torn logs: every truncation point decodes what is whole, then
      returns None with the cursor parked before the torn record. *)
   List.iter
@@ -1119,6 +1104,65 @@ let test_serialize_tape_roundtrip () =
   (* An empty tape serializes to an empty log. *)
   Alcotest.(check int) "empty tape, empty log" 0
     (Bytes.length (RR.serialize_tape (Tape.create ())))
+
+(* The torn-tail contract of [Record_replay.deserialize], which guards
+   log files read from outside the program: a log cut at any byte inside
+   its last record decodes every earlier record, then returns [None]
+   with the cursor parked on the torn record's first byte. Each of an
+   inline, an empty and an absent result buffer takes a turn as the last
+   record. *)
+let test_deserialize_torn_tail () =
+  let inline = Some (Bytes.of_string "inline result bytes")
+  and empty = Some Bytes.empty
+  and absent = None in
+  List.iter
+    (fun outs ->
+      let tape = Tape.create () in
+      List.iteri
+        (fun i out ->
+          Tape.append tape
+            (Event.make ~tid:i ~args:[| i; 7 |] ~ret:(5 * i) ~clock:(i + 1)
+               (10 + i))
+            ~out)
+        outs;
+      let log = RR.serialize_tape tape in
+      let n = List.length outs in
+      let last_start =
+        let cur = { RR.data = log; pos = 0 } in
+        for _ = 1 to n - 1 do
+          ignore (RR.deserialize cur)
+        done;
+        cur.RR.pos
+      in
+      for cut = last_start + 1 to Bytes.length log - 1 do
+        let cur = { RR.data = Bytes.sub log 0 cut; pos = 0 } in
+        for i = 0 to n - 2 do
+          match RR.deserialize cur with
+          | Some e ->
+            let want = Tape.get tape i in
+            Alcotest.(check int) (Printf.sprintf "cut %d rec %d sysno" cut i)
+              want.Event.sysno e.Event.sysno;
+            Alcotest.(check (array int))
+              (Printf.sprintf "cut %d rec %d args" cut i)
+              want.Event.args e.Event.args;
+            Alcotest.(check (option bytes))
+              (Printf.sprintf "cut %d rec %d out" cut i)
+              want.Event.inline_out e.Event.inline_out
+          | None -> Alcotest.failf "cut %d: whole record %d not decoded" cut i
+        done;
+        Alcotest.(check bool)
+          (Printf.sprintf "cut %d: torn record decodes to None" cut)
+          true
+          (RR.deserialize cur = None);
+        Alcotest.(check int)
+          (Printf.sprintf "cut %d: cursor on the torn record" cut)
+          last_start cur.RR.pos
+      done)
+    [
+      [ empty; absent; inline ];
+      [ absent; inline; empty ];
+      [ inline; empty; absent ];
+    ]
 
 (* ---- the connection router (sharded serving layer) ------------------ *)
 
@@ -1308,5 +1352,7 @@ let () =
             test_tape_bounded_memory_million_events;
           Alcotest.test_case "serialize_tape round trip" `Quick
             test_serialize_tape_roundtrip;
+          Alcotest.test_case "deserialize torn tail at every byte" `Quick
+            test_deserialize_torn_tail;
         ] );
     ]
