@@ -48,8 +48,7 @@ let collect_window code targets addr =
 
 let rewrite_relocatable code0 =
   let orig_len = Bytes.length code0 in
-  let targets = D.branch_targets code0 in
-  let syscalls = D.syscall_sites code0 in
+  let { D.targets; syscalls } = D.scan code0 in
   let patched = Bytes.copy code0 in
   let stubs = Codegen.stubs_create ~base:orig_len in
   let next_site = ref 0 in

@@ -17,20 +17,28 @@ let instructions buf =
     (fun it -> match it.insn with Some i -> Some (it.addr, i) | None -> None)
     (sweep buf)
 
-let branch_targets buf =
-  let targets = Hashtbl.create 64 in
-  List.iter
-    (fun (addr, insn) ->
-      match Insn.branch_target ~at:addr insn with
-      | Some t -> Hashtbl.replace targets t ()
-      | None -> ())
-    (instructions buf);
-  targets
+type scan = { targets : (int, unit) Hashtbl.t; syscalls : int list }
 
-let syscall_sites buf =
-  List.filter_map
-    (fun (addr, insn) -> if insn = Insn.Syscall then Some addr else None)
-    (instructions buf)
+let scan buf =
+  let len = Bytes.length buf in
+  let targets = Hashtbl.create 64 in
+  let rec go addr syscalls =
+    if addr >= len then List.rev syscalls
+    else
+      match Insn.decode buf addr with
+      | None -> go (addr + 1) syscalls
+      | Some (Insn.Syscall, ilen) -> go (addr + ilen) (addr :: syscalls)
+      | Some (insn, ilen) ->
+        (match Insn.branch_target ~at:addr insn with
+        | Some t -> Hashtbl.replace targets t ()
+        | None -> ());
+        go (addr + ilen) syscalls
+  in
+  let syscalls = go 0 [] in
+  { targets; syscalls }
+
+let branch_targets buf = (scan buf).targets
+let syscall_sites buf = (scan buf).syscalls
 
 let pp_listing ppf buf =
   List.iter

@@ -18,12 +18,22 @@ val sweep : Bytes.t -> item list
 val instructions : Bytes.t -> (int * Insn.t) list
 (** Only the successfully decoded instructions of {!sweep}. *)
 
+type scan = {
+  targets : (int, unit) Hashtbl.t;
+      (** addresses that some decoded branch jumps or calls to *)
+  syscalls : int list;  (** addresses of [Syscall] instructions, ascending *)
+}
+
+val scan : Bytes.t -> scan
+(** One linear sweep that collects both sets the rewriter needs, decoding
+    each instruction once and building no item list. *)
+
 val branch_targets : Bytes.t -> (int, unit) Hashtbl.t
-(** Addresses that some decoded branch jumps or calls to. The rewriter
-    must not relocate instructions at these addresses (§3.2). *)
+(** [(scan buf).targets]. The rewriter must not relocate instructions at
+    these addresses (§3.2). *)
 
 val syscall_sites : Bytes.t -> int list
-(** Addresses of [Syscall] instructions, ascending. *)
+(** [(scan buf).syscalls]. *)
 
 val pp_listing : Format.formatter -> Bytes.t -> unit
 (** Human-readable listing, one instruction per line. *)

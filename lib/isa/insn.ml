@@ -129,79 +129,67 @@ let encode insn =
 
 let signed8 v = if v >= 128 then v - 256 else v
 
+(* Byte-field readers for [decode]: top-level so decoding an instruction
+   allocates nothing but its result. *)
+let u8 buf i = Char.code (Bytes.get buf i)
+let s8 buf i = signed8 (u8 buf i)
+let hi buf i = u8 buf i lsr 4
+let lo buf i = u8 buf i land 0xF
+
 let decode buf ofs =
-  let len = Bytes.length buf in
-  if ofs >= len then None
-  else begin
-    let op = Char.code (Bytes.get buf ofs) in
-    let have n = ofs + n <= len in
-    let b i = Char.code (Bytes.get buf (ofs + i)) in
-    let i32 i = Bytes.get_int32_le buf (ofs + i) in
-    let pair i = (b i lsr 4, b i land 0xF) in
-    match op with
+  let room = Bytes.length buf - ofs in
+  if room <= 0 then None
+  else
+    let a = ofs + 1 in
+    match u8 buf ofs with
     | 0x90 -> Some (Nop, 1)
     | 0x05 -> Some (Syscall, 1)
     | 0xCC -> Some (Int3, 1)
-    | 0xCD -> if have 2 then Some (Int (b 1), 2) else None
-    | 0x0F -> if have 5 then Some (Hook (Int32.to_int (i32 1)), 5) else None
-    | op when op >= 0xB8 && op <= 0xBF ->
-      if have 5 then Some (Mov_imm (op - 0xB8, i32 1), 5) else None
-    | 0x01 ->
-      if have 2 then
-        let a, c = pair 1 in
-        Some (Add (a, c), 2)
-      else None
-    | 0x8A ->
-      if have 2 then
-        let a, c = pair 1 in
-        Some (Mov (a, c), 2)
-      else None
-    | 0x31 ->
-      if have 2 then
-        let a, c = pair 1 in
-        Some (Xor (a, c), 2)
-      else None
-    | 0x85 ->
-      if have 2 then
-        let a, c = pair 1 in
-        Some (Test (a, c), 2)
-      else None
+    | 0xC3 -> Some (Ret, 1)
+    | 0xF4 -> Some (Hlt, 1)
     | op when op >= 0x40 && op <= 0x47 -> Some (Inc (op - 0x40), 1)
     | op when op >= 0x48 && op <= 0x4F -> Some (Dec (op - 0x48), 1)
-    | 0x7C -> if have 2 then Some (Jl (signed8 (b 1)), 2) else None
-    | 0x7F -> if have 2 then Some (Jg (signed8 (b 1)), 2) else None
-    | 0x29 ->
-      if have 2 then
-        let a, c = pair 1 in
-        Some (Sub (a, c), 2)
-      else None
-    | 0x39 ->
-      if have 2 then
-        let a, c = pair 1 in
-        Some (Cmp (a, c), 2)
-      else None
-    | 0x83 -> if have 3 then Some (Add_imm (b 1, signed8 (b 2)), 3) else None
-    | 0xE9 -> if have 5 then Some (Jmp (i32 1), 5) else None
-    | 0xEB -> if have 2 then Some (Jmp_short (signed8 (b 1)), 2) else None
-    | 0x74 -> if have 2 then Some (Je (signed8 (b 1)), 2) else None
-    | 0x75 -> if have 2 then Some (Jne (signed8 (b 1)), 2) else None
-    | 0xE8 -> if have 5 then Some (Call (i32 1), 5) else None
-    | 0xC3 -> Some (Ret, 1)
     | op when op >= 0x50 && op <= 0x57 -> Some (Push (op - 0x50), 1)
     | op when op >= 0x58 && op <= 0x5F -> Some (Pop (op - 0x58), 1)
-    | 0x8B ->
-      if have 2 then
-        let a, c = pair 1 in
-        Some (Load (a, c), 2)
-      else None
-    | 0x89 ->
-      if have 2 then
-        let a, c = pair 1 in
-        Some (Store (a, c), 2)
-      else None
-    | 0xF4 -> Some (Hlt, 1)
+    | (0xCD | 0x01 | 0x8A | 0x31 | 0x85 | 0x29 | 0x39 | 0x8B | 0x89 | 0x7C
+      | 0x7F | 0xEB | 0x74 | 0x75) as op ->
+      if room < 2 then None
+      else
+        let insn =
+          match op with
+          | 0xCD -> Int (u8 buf a)
+          | 0x01 -> Add (hi buf a, lo buf a)
+          | 0x8A -> Mov (hi buf a, lo buf a)
+          | 0x31 -> Xor (hi buf a, lo buf a)
+          | 0x85 -> Test (hi buf a, lo buf a)
+          | 0x29 -> Sub (hi buf a, lo buf a)
+          | 0x39 -> Cmp (hi buf a, lo buf a)
+          | 0x8B -> Load (hi buf a, lo buf a)
+          | 0x89 -> Store (hi buf a, lo buf a)
+          | 0x7C -> Jl (s8 buf a)
+          | 0x7F -> Jg (s8 buf a)
+          | 0xEB -> Jmp_short (s8 buf a)
+          | 0x74 -> Je (s8 buf a)
+          | _ -> Jne (s8 buf a)
+        in
+        Some (insn, 2)
+    | 0x83 ->
+      if room < 3 then None else Some (Add_imm (u8 buf a, s8 buf (a + 1)), 3)
+    | (0x0F | 0xE9 | 0xE8) as op ->
+      if room < 5 then None
+      else
+        let v = Bytes.get_int32_le buf a in
+        let insn =
+          match op with
+          | 0x0F -> Hook (Int32.to_int v)
+          | 0xE9 -> Jmp v
+          | _ -> Call v
+        in
+        Some (insn, 5)
+    | op when op >= 0xB8 && op <= 0xBF ->
+      if room < 5 then None
+      else Some (Mov_imm (op - 0xB8, Bytes.get_int32_le buf a), 5)
     | _ -> None
-  end
 
 let is_branch = function
   | Jmp _ | Jmp_short _ | Je _ | Jne _ | Jl _ | Jg _ | Call _ -> true

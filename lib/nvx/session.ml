@@ -15,10 +15,8 @@ module Interp = Varan_bpf.Interp
 module Rules = Varan_bpf.Rules
 module Rewriter = Varan_binary.Rewriter
 module Rewrite_cache = Varan_binary.Rewrite_cache
-module Codegen = Varan_binary.Codegen
 module Image = Varan_binary.Image
 module Vdso = Varan_binary.Vdso
-module Prng = Varan_util.Prng
 module Fault = Varan_fault.Plan
 module Oracle = Varan_trace.Oracle
 module Net_node = Varan_net.Node
@@ -152,10 +150,6 @@ type vstate = {
   mutable trap_share_c1000 : int;
   mutable rewrite : Rewriter.stats option;
   mutable trap_acc : int;
-  (* The zygote's pristine copy of this variant's text: generated once,
-     forked (reused) by every incarnation. The rewrite applied to it is
-     served by the zygote's content-addressed cache. *)
-  mutable pristine_code : Bytes.t option;
   mutable spawn_ns : float; (* wall-clock ns spent in prepare_image, total *)
   mutable spawn_preps : int; (* prepare_image runs (1 + respawns) *)
   st : vstats;
@@ -1910,33 +1904,21 @@ let interposed t vst ~unit_idx proc sysno args =
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Build the variant's synthetic text segment and rewrite it through the
-   resident rewrite cache, recording the dispatch mix; also patch a vDSO
-   image so interception covers the virtual syscalls (§3.2.1).
+(* Load the variant's text segment and rewrite it through the resident
+   rewrite cache, recording the dispatch mix; also patch a vDSO image so
+   interception covers the virtual syscalls (§3.2.1).
 
-   This is the spawn fast path: the pristine text is generated once per
-   variant (the zygote forks every incarnation from the same pristine
-   image), and the rewrite is served content-addressed — the first
-   launch of a given image pays the full disassemble-and-patch cost,
-   every later launch (replica of the same binary, respawned
-   incarnation) is an O(sites) rebase of the cached entry into a fresh
-   site-id range. *)
+   This is the spawn fast path: the pristine text is the process-wide
+   image of the variant's profile ({!Variant.image}, generated once and
+   copied into each segment, as a loader maps a binary from disk), and
+   the rewrite is served content-addressed — the session's first launch
+   of a given image pays the full disassemble-and-patch cost, every
+   later launch (replica of the same binary, respawned incarnation) is
+   an O(sites) rebase of the cached entry into a fresh site-id range. *)
 let prepare_image t vst =
   let t0 = Unix.gettimeofday () in
   let reg = Prof.region_enter () in
-  let code =
-    match vst.pristine_code with
-    | Some c -> c
-    | None ->
-      let p = vst.variant.Variant.profile in
-      let rng = Prng.create p.Variant.code_seed in
-      let c =
-        Codegen.profile_image rng ~code_bytes:p.Variant.code_bytes
-          ~syscall_share:p.Variant.syscall_share
-      in
-      vst.pristine_code <- Some c;
-      c
-  in
+  let code = Bytes.of_string (Variant.image vst.variant.Variant.profile) in
   let seg =
     Image.make_segment ~name:(vst.variant.Variant.v_name ^ ".text") ~base:0
       ~perm:Image.rx code
@@ -2232,7 +2214,6 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
           trap_share_c1000 = 0;
           rewrite = None;
           trap_acc = 0;
-          pristine_code = None;
           spawn_ns = 0.;
           spawn_preps = 0;
           st = fresh_vstats ();

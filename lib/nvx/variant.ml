@@ -23,6 +23,24 @@ type t = {
 
 let default_profile = { code_bytes = 30_000; syscall_share = 0.02; code_seed = 7 }
 
+(* One pristine image per profile for the whole process: the image is a
+   pure function of the profile, so every variant, incarnation and
+   session shares the same immutable copy. *)
+let images : (code_profile, string) Hashtbl.t = Hashtbl.create 16
+
+let image p =
+  match Hashtbl.find_opt images p with
+  | Some img -> img
+  | None ->
+    let code =
+      Varan_binary.Codegen.profile_image
+        (Varan_util.Prng.create p.code_seed)
+        ~code_bytes:p.code_bytes ~syscall_share:p.syscall_share
+    in
+    let img = Bytes.unsafe_to_string code in
+    Hashtbl.add images p img;
+    img
+
 let single ?name:_ body =
   { units = 1; unit_kind = Thread; body = (fun ~unit_idx:_ api -> body api) }
 

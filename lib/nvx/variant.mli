@@ -56,6 +56,12 @@ val make :
 
 val default_profile : code_profile
 
+val image : code_profile -> string
+(** The pristine text segment of a profile: a synthetic program standing
+    in for the binary on disk. Generated on the first call for a profile
+    and shared by every later call in the process (the same physical
+    string); loaders copy it into a segment before patching. *)
+
 val replicas : int -> t -> t list
 (** [replicas n v] is [n] copies of the same version (the paper's
     performance experiments run multiple instances of one version),

@@ -48,6 +48,45 @@ let test_decode_invalid () =
     "truncated mov" true
     (I.decode (Bytes.of_string "\xB8\x01") 0 = None)
 
+(* The decoder contract, over every first byte: a decodable encoding
+   re-encodes to exactly the bytes it came from, and every strict prefix
+   of it is a truncated encoding that decodes to [None]. Checked at the
+   start of a buffer and with the encoding ending the buffer. *)
+let test_decode_contract () =
+  let tails =
+    [ "\x00\x00\x00\x00"; "\xFF\xFF\xFF\xFF"; "\x12\x34\x56\x78"; "\x80\x7F\x01\xFE" ]
+  in
+  List.iter
+    (fun ofs ->
+      let decodable = ref 0 in
+      for op = 0 to 255 do
+        List.iter
+          (fun tail ->
+            let buf =
+              Bytes.of_string
+                (String.make ofs '\x90' ^ String.make 1 (Char.chr op) ^ tail)
+            in
+            match I.decode buf ofs with
+            | None -> ()
+            | Some (insn, n) ->
+              incr decodable;
+              let what = Printf.sprintf "op 0x%02x tail %S at %d" op tail ofs in
+              Alcotest.(check int) (what ^ " length") (I.length insn) n;
+              Alcotest.(check string)
+                (what ^ " re-encodes") (Bytes.sub_string buf ofs n)
+                (Bytes.to_string (I.encode insn));
+              for k = 1 to n - 1 do
+                if I.decode (Bytes.sub buf 0 (ofs + k)) ofs <> None then
+                  Alcotest.failf "%s: %d-byte prefix decodes" what k
+              done)
+          tails
+      done;
+      (* 63 valid opcodes, each decodable under every tail. *)
+      Alcotest.(check int)
+        (Printf.sprintf "decodable cases at %d" ofs)
+        (63 * List.length tails) !decodable)
+    [ 0; 11 ]
+
 let test_branch_target () =
   (* jmp +10 at address 100 (5 bytes): target 115. *)
   Alcotest.(check (option int))
@@ -402,6 +441,197 @@ let test_rewrite_segment_respects_wx () =
   Alcotest.(check bool) "still executable" true seg.Image.perm.Image.x;
   Alcotest.(check bool) "not writable" false seg.Image.perm.Image.w
 
+(* --- golden images and rewrites --------------------------------------- *)
+
+(* Digests of the pristine image of every profile the workloads launch,
+   and of its rewrite at [first_site_id] 17 (code, site list, stats).
+   Any change to code generation or rewriting output shows up here. *)
+let golden_images =
+  [
+    ( "default",
+      "c4707779db5c67fc68d0e707f93ec2db", "96c80da5df61f7d1d0218aff9206469e",
+      "397463f6b068015487ce01553b42b938", "3ce9c72ebf42691d490decfb8c0644fc" );
+    ( "Beanstalkd",
+      "6ffe8e4b601e9f7746915d8c632b659c", "5e8d7af0ba2e991990c0ecfdddfc42bb",
+      "16b068eed92f94eb713494ec334c896d", "f93b0b97a745e7134e6a56f965273483" );
+    ( "Lighttpd (wrk)",
+      "e26e5ae730052db999be37b2c72c665a", "ae8273230f12ccac498022b5942259ba",
+      "7208db29c14b3b72613e8ea8e8238eb0", "a5a15d945ca891562625927562ab6b5b" );
+    ( "Memcached",
+      "b9f3eb1e6cc8006df40e4a17b28ce821", "c133a116afbec2f6fdbbd66ac06821fe",
+      "3eca9b0acc698b00146fcd3b8d602197", "b8c0d298a5dc3fe1471b15a489386ebc" );
+    ( "Nginx",
+      "fb229bb5e6f3d62438db0098b5271372", "7ea1854b92d6d89ab368ff5f1f0a5e20",
+      "28a929cc597c12a3bdad7643f24e1bc8", "d46b68439a31acc1dd9edadada824b0f" );
+    ( "Redis",
+      "185610bf2b7eff96ace195a941edc8e7", "1fca7e32b48c9efa4f1a285ad7900a41",
+      "f4d8658713a93fd35d0c04dbf002cd72", "9a34d4f081cc3cdaf8fcac8e72d3f682" );
+    ( "Apache httpd",
+      "2cfcdb149435c76b2a9ff34d37b44828", "1a6ac223382edc94ba750e8d1e9f7c37",
+      "db8932ec7561b5b913ed590c0be1478a", "c48dc8cdf507ddab35392ff50a776ca4" );
+    ( "thttpd",
+      "cf398a3d4e21ff78538fc78eb15c5708", "69053c6bbba692720f476be1a3d25636",
+      "953c79e810b4f2a6457c711bc20d7a9b", "d0cfd6ebe034566238f9e75aac611aa1" );
+    ( "Lighttpd (ab)",
+      "e26e5ae730052db999be37b2c72c665a", "ae8273230f12ccac498022b5942259ba",
+      "7208db29c14b3b72613e8ea8e8238eb0", "a5a15d945ca891562625927562ab6b5b" );
+    ( "Lighttpd (http_load)",
+      "e26e5ae730052db999be37b2c72c665a", "ae8273230f12ccac498022b5942259ba",
+      "7208db29c14b3b72613e8ea8e8238eb0", "a5a15d945ca891562625927562ab6b5b" );
+    ( "Thread grid (64)",
+      "2257c22b81b1f324b29ceb5de1d5913f", "6bffd55ace5a2f67b02543c11ef5a596",
+      "888afe217d48c59198c7139329724d0e", "d5a404c51887b3ecda636b68d16704ca" );
+    ( "Thread grid (256)",
+      "6537458ce9c97fefb89da7993842bc7c", "a31f56300979e176beac951ac2ee2b8c",
+      "02ff0bf8bc823528063b859b8ee557b2", "db88c53352309c463bc75c79928a0335" );
+    ( "serving",
+      "b9f3eb1e6cc8006df40e4a17b28ce821", "c133a116afbec2f6fdbbd66ac06821fe",
+      "3eca9b0acc698b00146fcd3b8d602197", "b8c0d298a5dc3fe1471b15a489386ebc" );
+    ( "164.gzip",
+      "a0b44daee06d5e925f15bc90b783610b", "2d746e26999ece5faf75cb419a48a4f7",
+      "2b6807fe4edfee6242427114706043d8", "dba407c04c8b679c5c8342569078ba87" );
+    ( "175.vpr",
+      "c0051035b96d8235d7bc507770fcbcdf", "d7ff7c1e6210cd1faaab573371929185",
+      "713c049f4f43206a4d699a3bed019b8e", "09a15dbcefdb4d78f149a5ea171167ba" );
+    ( "176.gcc",
+      "43ccfec02638591939a3130849ae81e2", "f0fd797b752794a6cc90ff665d702685",
+      "c5ca86ea07264955bd1ccd6dd7197b54", "9811f258214eb1df1c5902b6a3e67922" );
+    ( "181.mcf",
+      "e65c1e8a55e2d64ed0f60f9cabc60c50", "30100b178599ed9bdff36c8657c4e52d",
+      "1593c09263bfd5915e029d1bfc19025e", "69738484b97b3fa6fbdab60aa0e93234" );
+    ( "186.crafty",
+      "6a43a7b6dac6e61c59dbb433c5514165", "38c79eb4c196def54201fba91a29ff30",
+      "12c3a6498f05714834b4801a15b11441", "480f7863bd6e1c22bb24a73ec9fd1d99" );
+    ( "197.parser",
+      "72b978affa22899cf2733990baa718c4", "86c6a50b8cc42ad44aeb5e66815b3351",
+      "d3147a76148a51b0f3c0f4f0245bf9de", "6894d86fb216addafe485c241154023b" );
+    ( "252.eon",
+      "0f2cb9b0bd3cb3995b9d6969edf55119", "1fb1e68ecc0b5e583b16c21787dcc078",
+      "1e6aec9f795d0dae5611dffdb6bebb32", "6605d834807788b386d56ce7d1e30ba5" );
+    ( "253.perlbmk",
+      "2ab400b0d01c0d94afbf00db36f18403", "418c4b96412151a2d84f2a7b53758438",
+      "a09bf0c503b4c52d1b612daa0e2048ff", "7b1552141760d12bd59a55a105f2f5b9" );
+    ( "254.gap",
+      "53c034a1e480a0479bcc6a4108598b96", "751c4b7d7b83c284c21d8dfed0468b64",
+      "b2a77bee9b1f4404e3a639bfc0175ec1", "5fd1fb5a303f65dab7b65739bb2599e0" );
+    ( "255.vortex",
+      "894f48d9215f4c6635f1e3ec5704a11c", "d40b65080d9506e2d7382feef8e3f887",
+      "685e7c95534a869e91962f7be708e42a", "6c6241b5b1d7ecc60d5c65c76d797f71" );
+    ( "256.bzip2",
+      "39a18013a6500284b2b5f9ee07a58073", "99b8ec9f99f3ca7ad1518318c059293e",
+      "bc94f7f0a0a450a713ecff19a09fd45d", "2f8f2de5028c70b9c25c237de292c19a" );
+    ( "300.twolf",
+      "a01d435b1ccf8a9decac28505e1c8238", "74af57c75ed51e3ccd8b93db92d786e9",
+      "1dd0899bcd6e3f7a5b321188eda86b74", "483bfe7bb6be16684ddc0b5f207ae961" );
+    ( "400.perlbench",
+      "ad50eb054265365cfd1c289a60a75246", "2416ff681254f97547dbebe6b542dd59",
+      "789f779cfd28fa07b11ac69929dfa2c4", "01cdb223c2cd691e0a532681d88b13ce" );
+    ( "401.bzip2",
+      "e0b7a05b3f04cda6913f262ef49b066c", "0be88e849be00287f7bf70c76c75841f",
+      "212113681b8ddcfdfc251178be4b1f51", "53154e83bc3fb7e550b3f713c2470a5f" );
+    ( "403.gcc",
+      "4701e645e357e0435ab3dd41eff0e4be", "ddece9dd26b9a515feccf08eecb1fd6f",
+      "0389c18f610393f9817ec7993f186b16", "50024f9bdcebec33ef50f0c528754e2f" );
+    ( "429.mcf",
+      "85c67d7085b818052415d4b63f5fccb3", "347efd147d00a229e8447ee20952b9f3",
+      "87b65de2b012585a855436aa7859cae9", "30db5c23c19ab3f2b76f267774b10472" );
+    ( "445.gobmk",
+      "9671e4a694eef561a3263cbe43f94bb1", "3b5558fa86373db3274efebc1d362038",
+      "baf2535092477d6d403735424a9f2427", "63a591a6bfc1434f77daf6ae668c4393" );
+    ( "456.hmmer",
+      "29714dfcec7dc720d0aa86872ed06aa3", "ecc2e15a9065a9c8fa782c0d35687782",
+      "fd7b66074716a752bc4de59848b60844", "f2774b5a4a95bf95271b344cc0a8a603" );
+    ( "458.sjeng",
+      "a0879b450f94ddc54be795f16402e8ae", "aa0aa3216a8478d99b62c6acbcdc1d14",
+      "aa33a3ed2633342c72d08e005015b3a9", "80761d9fcad115da6c95dd234bc721b0" );
+    ( "462.libquantum",
+      "524e4c181f7e5877c08df1a9d6c857b7", "a0bc5f6e667f986764350e4e52403a0f",
+      "0395305c8eb2a17ea11b2ea51b5bdeb7", "df7a2986a972b046b06b645cd78b0b11" );
+    ( "464.h264ref",
+      "dadcd2e35b9b39ee482f1835333455ec", "10ea06d214ab222d4408f0cd88f70603",
+      "90a7fa1fba0ac6b7629267c14e9e404c", "61bcef12eb7862e23c427eaa6d7b5e75" );
+    ( "471.omnetpp",
+      "3aa7c7e826b10f1b0e9f28983da94968", "a3437ae37f1c9ee3057d17857c38b48a",
+      "13ad44afb6237cbaf65430e6901b18f1", "a7ade6d184a61add2d297791ebe9107b" );
+    ( "473.astar",
+      "723f611d77d3cc6c899fde548c570ea1", "88dd084e7da9bcac9e6cbd8285750d50",
+      "7a4a18c865a73527afaf507be22a2a37", "b2813295d4c1cd3a473fa00917fe22be" );
+    ( "483.xalancbmk",
+      "9728fb0ba399d9ff49c02570639e8ebb", "bb7092d022fb4508eead0f5bf2a4bf2e",
+      "5ffee959a86701478cf9a4c7e3252a51", "8490b2cc1fb61ff77856a1f318513d98" );
+  ]
+
+(* Every profile a workload launches, by the name its golden row uses.
+   [Serving] builds its shard variants internally; "serving" is the
+   profile it gives each of them. *)
+let launched_profiles () =
+  let module W = Varan_workloads in
+  let module V = Varan_nvx.Variant in
+  (("default", V.default_profile)
+  :: List.map
+       (fun (w : W.Workload.t) -> (w.W.Workload.w_name, w.W.Workload.profile))
+       (W.Catalog.c10k_servers @ W.Catalog.prior_work_servers
+      @ W.Catalog.thread_grids))
+  @ [ ("serving", { V.code_bytes = 10_000; syscall_share = 0.01; code_seed = 13 }) ]
+  @ List.map
+      (fun (p : W.Spec.params) ->
+        (p.W.Spec.sp_name, (W.Spec.variant_of p p.W.Spec.sp_name).V.profile))
+      (W.Spec.cpu2000 @ W.Spec.cpu2006)
+
+let sites_string sites =
+  String.concat ";"
+    (List.map
+       (fun s ->
+         Printf.sprintf "%d:%d:%s" s.R.site_id s.R.orig_addr
+           (match s.R.dispatch with R.Jump -> "J" | R.Trap -> "T"))
+       sites)
+
+let stats_string (s : R.stats) =
+  Printf.sprintf "%d/%d/%d/%d/%d" s.R.total_syscalls s.R.jump_sites
+    s.R.trap_sites s.R.relocated_insns s.R.stub_bytes
+
+let test_golden_rewrites () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let profiles = launched_profiles () in
+  Alcotest.(check (list string))
+    "every launched profile has a golden row"
+    (List.map (fun (n, _, _, _, _) -> n) golden_images)
+    (List.map fst profiles);
+  List.iter2
+    (fun (name, p) (_, img_md5, code_md5, sites_md5, stats_md5) ->
+      let img = Varan_nvx.Variant.image p in
+      Alcotest.(check string) (name ^ " image") img_md5 (md5 img);
+      let r = R.rewrite ~first_site_id:17 (Bytes.of_string img) in
+      Alcotest.(check string)
+        (name ^ " code") code_md5
+        (md5 (Bytes.to_string r.R.code));
+      Alcotest.(check string)
+        (name ^ " sites") sites_md5
+        (md5 (sites_string r.R.sites));
+      Alcotest.(check string)
+        (name ^ " stats") stats_md5
+        (md5 (stats_string r.R.stats));
+      if name = "default" then
+        Alcotest.(check string) "default stats" "198/178/20/395/2604"
+          (stats_string r.R.stats))
+    profiles golden_images
+
+(* Image generation and a cold rewrite allocate deterministically, so the
+   spawn path's budget is a tight gate on minor words. *)
+let test_spawn_allocation () =
+  let module V = Varan_nvx.Variant in
+  let img = V.image V.default_profile in
+  Alcotest.(check bool) "image generated once" true
+    (V.image V.default_profile == img);
+  let code = Bytes.of_string img in
+  let before = Gc.minor_words () in
+  let rt = R.rewrite_relocatable code in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "default image sites" 198 (List.length rt.R.rt_sites);
+  if words > 250_000. then
+    Alcotest.failf "cold rewrite allocated %.0f minor words (budget 250000)"
+      words
+
 (* --- vDSO ------------------------------------------------------------ *)
 
 let test_vdso_build_and_patch () =
@@ -445,6 +675,7 @@ let () =
           Alcotest.test_case "encode/decode roundtrip" `Quick
             test_encode_decode_roundtrip;
           Alcotest.test_case "decode invalid" `Quick test_decode_invalid;
+          Alcotest.test_case "decode contract" `Quick test_decode_contract;
           Alcotest.test_case "branch target" `Quick test_branch_target;
           Alcotest.test_case "with_target" `Quick test_with_target;
         ] );
@@ -495,6 +726,13 @@ let () =
           Alcotest.test_case "W^X violation" `Quick test_wx_violation;
           Alcotest.test_case "rewrite_segment W^X" `Quick
             test_rewrite_segment_respects_wx;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "image and rewrite digests" `Quick
+            test_golden_rewrites;
+          Alcotest.test_case "spawn allocation budget" `Quick
+            test_spawn_allocation;
         ] );
       ( "vdso",
         [ Alcotest.test_case "build and patch" `Quick test_vdso_build_and_patch ] );
