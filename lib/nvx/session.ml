@@ -40,9 +40,9 @@ type vstats = {
   mutable events_published : int;
   mutable events_consumed : int;
   mutable stall_blocks : int;
-  mutable stall_cycles : int64;
-  mutable wait_charge_cycles : int64;
-  mutable sys_cycles : int64;
+  mutable stall_cycles : int;
+  mutable wait_charge_cycles : int;
+  mutable sys_cycles : int;
   mutable divergences_executed : int;
   mutable divergences_skipped : int;
   mutable divergences_coalesced : int;
@@ -60,9 +60,9 @@ let fresh_vstats () =
     events_published = 0;
     events_consumed = 0;
     stall_blocks = 0;
-    stall_cycles = 0L;
-    wait_charge_cycles = 0L;
-    sys_cycles = 0L;
+    stall_cycles = 0;
+    wait_charge_cycles = 0;
+    sys_cycles = 0;
     divergences_executed = 0;
     divergences_skipped = 0;
     divergences_coalesced = 0;
@@ -640,10 +640,15 @@ let poke_all t =
   (match t.net with Some ns -> Ring.poke ns.n_mirror | None -> ());
   Array.iter (fun tp -> Array.iter Ring.poke tp.tp_pump) t.tuples
 
+(* A loop, not a fold: a closure over [t] would be allocated on every
+   leader syscall. *)
 let alive_followers t =
-  Array.fold_left
-    (fun n v -> if v.inc.alive && v.idx <> t.leader_idx then n + 1 else n)
-    0 t.vstates
+  let n = ref 0 in
+  for i = 0 to Array.length t.vstates - 1 do
+    let v = t.vstates.(i) in
+    if v.inc.alive && v.idx <> t.leader_idx then incr n
+  done;
+  !n
 
 (* ------------------------------------------------------------------ *)
 (* Follower lifecycle: quarantine, respawn, graceful degradation        *)
@@ -1358,29 +1363,31 @@ let stream_readers t tuple nfoll =
 let streaming t tuple nfoll =
   t.lifecycle <> None || stream_readers t tuple nfoll > 0
 
-(* Publish one event on [tuple]: the leader's single publish path. The
-   caller has charged its site-specific costs; this charges the futex
-   wake of waitlock sleepers when [wake] (the syscall and fork publishes
-   do, the signal publish does not) and the publish cost of [disp], then
-   stamps the event at slot-claim time, registers its payload readers,
-   tapes it with [out] as its flattened result and counts it. *)
-let publish_event t vst ~tuple ~nfoll ~wake ~disp ~out make =
+(* The leader's single publish path, in two halves with the event built
+   between them. [claim_slot] charges the futex wake of waitlock sleepers
+   when [wake] (the syscall and fork publishes do, the signal publish does
+   not) and the publish cost of [disp], waits for ring space and returns
+   the event's Lamport stamp. [commit_event] registers the payload's
+   readers, tapes the event with [out] as its flattened result, writes the
+   slot and counts it. The caller makes no engine call between the two:
+   the stamp is taken atomically with the slot claim, so sibling leader
+   threads cannot interleave between stamping and writing and followers
+   never observe out-of-order timestamps (Figure 3). *)
+let claim_slot t vst ~tuple ~nfoll ~wake ~disp =
   let tp = t.tuples.(tuple) in
   if wake && tp.tp_sleepers > 0 then E.consume t.cost.Cost.waitlock_wake;
   E.consume (publish_cost t disp nfoll);
-  (* The Lamport tick happens atomically with the slot claim: sibling
-     leader threads must not interleave between stamping and writing, or
-     followers would observe out-of-order timestamps (Figure 3). *)
-  Ring.publish_k tp.tp_ring (fun () ->
-      let event = make (Lamport.tick vst.inc.cursors.(tuple).cu_clock) in
-      register_payload t event (stream_readers t tuple nfoll);
-      (* Tape capture flattens the payload now, from the leader's own
-         result buffer — the pool chunk may be recycled long before a
-         respawned follower replays this entry. *)
-      (match t.tuples.(tuple).tp_tape with
-      | Some tape -> Tape.append tape event ~out
-      | None -> ());
-      event);
+  Ring.wait_not_full tp.tp_ring;
+  Lamport.tick vst.inc.cursors.(tuple).cu_clock
+
+let commit_event t vst ~tuple ~nfoll ~out event =
+  let tp = t.tuples.(tuple) in
+  register_payload t event (stream_readers t tuple nfoll);
+  (* Tape capture flattens the payload now, from the leader's own result
+     buffer — the pool chunk may be recycled long before a respawned
+     follower replays this entry. *)
+  (match tp.tp_tape with Some tape -> Tape.append tape event ~out | None -> ());
+  Ring.publish_now tp.tp_ring event;
   vst.st.events_published <- vst.st.events_published + 1
 
 (* Syscall arguments as the integers a stream event and a rewrite rule
@@ -1391,71 +1398,92 @@ let int_of_arg = function
   | Args.Buf_in b -> Bytes.length b
   | Args.Buf_out n -> n
 
+(* Record one executed system call as a [kind] event: the leader's hot
+   path, one event per streamed call. It charges the payload, digest and
+   grant costs, then builds the event record directly between the slot
+   claim and the commit — no closures and no optional arguments on the
+   way. *)
+let record_result t vst ~unit_idx ~tuple ~nfoll ~disp ~kind sysno args
+    (result : Args.result) =
+  let c = t.cost in
+  let out = result.Args.out in
+  (* Shared-memory payload for out-buffer results too large to travel in
+     the event; smaller ones ride inline. *)
+  let payload =
+    match out with
+    | Some b when Bytes.length b > Event.max_inline_bytes ->
+      E.consume c.Cost.shmem_alloc;
+      E.consume
+        (Cost.copy_cycles ~rate_c100:c.Cost.shmem_copy_leader_c100
+           (Bytes.length b));
+      let chunk = Pool.alloc t.pool (Bytes.length b) in
+      Pool.write chunk b;
+      Some chunk
+    | _ -> None
+  in
+  let payload_len, inline_out =
+    match (payload, out) with
+    | Some _, Some b -> (Bytes.length b, None)
+    | None, Some b when Bytes.length b > 0 -> (0, out)
+    | _ -> (0, None)
+  in
+  (* In-buffer payload digest for divergence checking. *)
+  (match Sysno.transfer_class sysno with
+  | Sysno.In_buffer ->
+    let digest_cycles =
+      Cost.copy_cycles ~rate_c100:8 (Args.payload_size args)
+    in
+    E.consume digest_cycles;
+    Prof.charge_inner Phase.oracle_digest digest_cycles
+  | _ -> ());
+  (* Descriptor grants travel over the data channel, per follower. *)
+  let grant =
+    match K.grant_of_result result with
+    | Some g when result.Args.ret >= 0 ->
+      E.consume (c.Cost.fd_send * nfoll);
+      Some (Obj.repr g)
+    | _ -> None
+  in
+  let int_args =
+    Array.map int_of_arg
+      (if Array.length args > 6 then Array.sub args 0 6 else args)
+  in
+  (* Followers asleep in a waitlock need a futex wake — a real system call
+     on the leader's fast path (§3.3.1). *)
+  let clock = claim_slot t vst ~tuple ~nfoll ~wake:true ~disp in
+  commit_event t vst ~tuple ~nfoll ~out
+    {
+      Event.kind;
+      sysno = Sysno.to_int sysno;
+      tid = vst.inc.units.(unit_idx).u_tid;
+      args = int_args;
+      ret = result.Args.ret;
+      clock;
+      payload;
+      payload_len;
+      inline_out;
+      grant;
+    }
+
 let leader_execute_and_record t vst ~unit_idx ~tuple proc
     (disp : Syscall_table.disposition) sysno args =
   fault_leader_hook t vst proc tuple;
-  let c = t.cost in
-  let is_exit = sysno = Sysno.Exit || sysno = Sysno.Exit_group in
   let nfoll = alive_followers t in
   (* Decided at entry: the call itself may block while consumers come and
      go. *)
   let streams = streaming t tuple nfoll in
-  let publish result =
-    (* Shared-memory payload for out-buffer results. *)
-    let payload, payload_len, inline_out =
-      match result.Args.out with
-      | Some out when Bytes.length out > Event.max_inline_bytes ->
-        E.consume c.Cost.shmem_alloc;
-        E.consume
-          (Cost.copy_cycles ~rate_c100:c.Cost.shmem_copy_leader_c100
-             (Bytes.length out));
-        let chunk = Pool.alloc t.pool (Bytes.length out) in
-        Pool.write chunk out;
-        (Some chunk, Bytes.length out, None)
-      | Some out when Bytes.length out > 0 -> (None, 0, Some out)
-      | _ -> (None, 0, None)
-    in
-    (* In-buffer payload digest for divergence checking. *)
-    (match Sysno.transfer_class sysno with
-    | Sysno.In_buffer ->
-      let digest_cycles =
-        Cost.copy_cycles ~rate_c100:8 (Args.payload_size args)
-      in
-      E.consume digest_cycles;
-      Prof.charge_inner Phase.oracle_digest digest_cycles
-    | _ -> ());
-    (* Descriptor grants travel over the data channel, per follower. *)
-    let grant =
-      match K.grant_of_result result with
-      | Some g when result.Args.ret >= 0 ->
-        E.consume (c.Cost.fd_send * nfoll);
-        Some (Obj.repr g)
-      | _ -> None
-    in
-    let int_args =
-      Array.map int_of_arg
-        (if Array.length args > 6 then Array.sub args 0 6 else args)
-    in
-    (* Followers asleep in a waitlock need a futex wake — a real system
-       call on the leader's fast path (§3.3.1). *)
-    publish_event t vst ~tuple ~nfoll ~wake:true ~disp ~out:result.Args.out
-      (fun clock ->
-        Event.make
-          ~kind:(if is_exit then Event.Ev_exit else Event.Ev_syscall)
-          ~tid:vst.inc.units.(unit_idx).u_tid ~args:int_args
-          ~ret:result.Args.ret
-          ?payload ~payload_len ?inline_out ?grant ~clock
-          (Sysno.to_int sysno))
-  in
-  let publish result = if streams then publish result in
-  if is_exit then begin
+  if sysno = Sysno.Exit || sysno = Sysno.Exit_group then begin
     (* Publish before executing: the kernel-side exit never returns. *)
-    publish (Args.ok 0);
+    if streams then
+      record_result t vst ~unit_idx ~tuple ~nfoll ~disp ~kind:Event.Ev_exit
+        sysno args (Args.ok 0);
     K.exec t.k proc sysno args
   end
   else begin
     let result = K.exec t.k proc sysno args in
-    publish result;
+    if streams then
+      record_result t vst ~unit_idx ~tuple ~nfoll ~disp
+        ~kind:Event.Ev_syscall sysno args result;
     result
   end
 
@@ -1466,10 +1494,9 @@ let leader_execute_and_record t vst ~unit_idx ~tuple proc
 let charge_wait_cost t vst blocked_cycles ~slept =
   let c = t.cost in
   vst.st.stall_blocks <- vst.st.stall_blocks + 1;
-  vst.st.stall_cycles <- Int64.add vst.st.stall_cycles blocked_cycles;
+  vst.st.stall_cycles <- vst.st.stall_cycles + blocked_cycles;
   let charge = if slept then c.Cost.waitlock_block else c.Cost.spin_check in
-  vst.st.wait_charge_cycles <-
-    Int64.add vst.st.wait_charge_cycles (Int64.of_int charge);
+  vst.st.wait_charge_cycles <- vst.st.wait_charge_cycles + charge;
   E.consume charge
 
 (* The adaptive wait for a stream that has nothing for this unit yet:
@@ -1477,7 +1504,7 @@ let charge_wait_cost t vst blocked_cycles ~slept =
    follower sleep in the futex — and only sleeping followers force the
    leader to pay a wake on publish (§3.3.1). *)
 let follower_wait t vst tuple sysno =
-  let t0 = E.now_cycles () in
+  let t0 = E.clock () in
   let uses_waitlock =
     t.cfg.Config.follower_wait = Config.Waitlock && Sysno.is_blocking sysno
   in
@@ -1496,15 +1523,15 @@ let follower_wait t vst tuple sysno =
       let counted = not (tuple = 0 && is_remote t vst.idx) in
       let tp = t.tuples.(tuple) in
       if counted then tp.tp_sleepers <- tp.tp_sleepers + 1;
-      Fun.protect
-        ~finally:(fun () ->
-          if counted then tp.tp_sleepers <- tp.tp_sleepers - 1)
-        (fun () -> stream_wait vst tuple);
+      (match stream_wait vst tuple with
+      | () -> if counted then tp.tp_sleepers <- tp.tp_sleepers - 1
+      | exception e ->
+        if counted then tp.tp_sleepers <- tp.tp_sleepers - 1;
+        raise e);
       true
     end
   in
-  let blocked = Int64.sub (E.now_cycles ()) t0 in
-  charge_wait_cost t vst blocked ~slept
+  charge_wait_cost t vst (E.clock () - t0) ~slept
 
 (* Wait until this unit's stream has an event addressed to this unit.
    Raises [Promote] when the variant has been elected leader and the
@@ -1568,19 +1595,40 @@ let take_control_event t vst ~tuple ~tid (e : Event.t) =
   E.consume t.cost.Cost.consume_event;
   vst.st.events_consumed <- vst.st.events_consumed + 1
 
+(* A follower's own release of the payload of an event its cursor has
+   moved past. The Drop_payload fault skips one release: the negative
+   control of the oracle's pool-balance check. *)
+let release_consumed t vst (e : Event.t) =
+  if vst.inc.drop_release then vst.inc.drop_release <- false
+  else release_payload t e
+
 let decode_event_result t vst (disp : Syscall_table.disposition) proc
     (e : Event.t) : Args.result =
   let c = t.cost in
-  (match disp with
-  | Syscall_table.Virtual -> E.consume c.Cost.consume_vdso
-  | _ -> E.consume c.Cost.consume_event);
+  (* The cursor is already past [e], so [stream_remove] no longer sees
+     its payload reference: it is this unit's to release. A kill while
+     parked in the charges below (a quarantine or eviction) unwinds
+     through here and must release it, or the chunk stays registered
+     for good. *)
+  (match
+     (match disp with
+     | Syscall_table.Virtual -> E.consume c.Cost.consume_vdso
+     | _ -> E.consume c.Cost.consume_event);
+     match e.Event.payload with
+     | Some _ ->
+       E.consume
+         (Cost.copy_cycles ~rate_c100:c.Cost.shmem_copy_follower_c100
+            e.Event.payload_len)
+     | None -> ()
+   with
+  | () -> ()
+  | exception ex ->
+    release_consumed t vst e;
+    raise ex);
   let out =
     match e.Event.payload with
     | None -> e.Event.inline_out
     | Some chunk ->
-      E.consume
-        (Cost.copy_cycles ~rate_c100:c.Cost.shmem_copy_follower_c100
-           e.Event.payload_len);
       (* The out-buffer escapes to the replayed syscall's caller, so one
          copy out of the shared chunk is unavoidable — but exactly one:
          [read_into] fills a right-sized caller buffer directly, with no
@@ -1588,8 +1636,7 @@ let decode_event_result t vst (disp : Syscall_table.disposition) proc
       let n = min e.Event.payload_len (Pool.size chunk) in
       let bytes = Bytes.create n in
       let _ = Pool.read_into chunk bytes ~len:n in
-      if vst.inc.drop_release then vst.inc.drop_release <- false
-      else release_payload t e;
+      release_consumed t vst e;
       Some bytes
   in
   (match e.Event.grant with
@@ -1817,39 +1864,45 @@ let do_promote t vst ~unit_idx ~tuple =
    the same stream position (§2.2). *)
 let leader_publish_signal t vst ~unit_idx ~tuple signo =
   let nfoll = alive_followers t in
-  if streaming t tuple nfoll then
-    publish_event t vst ~tuple ~nfoll ~wake:false ~disp:Syscall_table.Stream
-      ~out:None (fun clock ->
-        Event.make ~kind:Event.Ev_signal
-          ~tid:vst.inc.units.(unit_idx).u_tid ~clock
-          signo)
+  if streaming t tuple nfoll then begin
+    let clock =
+      claim_slot t vst ~tuple ~nfoll ~wake:false ~disp:Syscall_table.Stream
+    in
+    commit_event t vst ~tuple ~nfoll ~out:None
+      (Event.make ~kind:Event.Ev_signal ~tid:vst.inc.units.(unit_idx).u_tid
+         ~clock signo)
+  end
+
+(* Close the profile region and trace span of one interposed call. Runs
+   on the normal return AND the unwind path (exit syscalls and divergence
+   kills raise): an unclosed span would corrupt this track's nesting for
+   the rest of the trace. Called only when profiling or tracing. *)
+let obs_exit t vst ~tuple ~traced ~trace_tid (reg : Prof.region) sysno ts =
+  let ts = Int64.of_int ts in
+  Prof.region_exit Phase.syscall_exec reg;
+  if reg.Prof.r_tid >= 0 then Phase.gap_mark reg.Prof.r_tid ts;
+  if traced then
+    Trace.end_span ~ts
+      ~lamport:(Lamport.current vst.inc.cursors.(tuple).cu_clock)
+      ~pid:t.trace_pid ~tid:trace_tid (Sysno.name sysno)
 
 let interposed t vst ~unit_idx proc sysno args =
   let tuple = vst.inc.units.(unit_idx).u_tuple in
-  let t0 = E.now_cycles () in
+  let t0 = E.clock () in
   (* Cycle attribution: the gap since the last interposition returned is
      the variant body's own computation; the interposed call itself is
      the syscall-exec phase, exclusive of inner waits (ring, kernel) and
      the digest charge, which credit the stolen ledger as they go. *)
   let reg = Prof.region_enter () in
-  if reg.Prof.r_tid >= 0 then Phase.gap_charge reg.Prof.r_tid t0;
+  if reg.Prof.r_tid >= 0 then
+    Phase.gap_charge reg.Prof.r_tid (Int64.of_int t0);
   let traced = !Trace.enabled in
+  let observed = traced || reg.Prof.r_tid >= 0 in
   let trace_tid = if traced then (E.self () :> int) else 0 in
   if traced then
-    Trace.begin_span ~ts:t0
+    Trace.begin_span ~ts:(Int64.of_int t0)
       ~lamport:(Lamport.current vst.inc.cursors.(tuple).cu_clock)
       ~pid:t.trace_pid ~tid:trace_tid (Sysno.name sysno);
-  (* Runs on the normal return AND the unwind path (exit syscalls and
-     divergence kills raise): an unclosed span would corrupt this
-     track's nesting for the rest of the trace. *)
-  let obs_exit ts =
-    Prof.region_exit Phase.syscall_exec reg;
-    if reg.Prof.r_tid >= 0 then Phase.gap_mark reg.Prof.r_tid ts;
-    if traced then
-      Trace.end_span ~ts
-        ~lamport:(Lamport.current vst.inc.cursors.(tuple).cu_clock)
-        ~pid:t.trace_pid ~tid:trace_tid (Sysno.name sysno)
-  in
   (* Deliver pending caught signals at the interception boundary: the
      leader streams an Ev_signal first so followers replay the handler at
      the same point. *)
@@ -1891,13 +1944,14 @@ let interposed t vst ~unit_idx proc sysno args =
               args
         end)
     with exn ->
-      obs_exit (E.now_cycles ());
+      if observed then
+        obs_exit t vst ~tuple ~traced ~trace_tid reg sysno (E.clock ());
       raise exn
   in
   vst.st.syscalls <- vst.st.syscalls + 1;
-  let t1 = E.now_cycles () in
-  vst.st.sys_cycles <- Int64.add vst.st.sys_cycles (Int64.sub t1 t0);
-  obs_exit t1;
+  let t1 = E.clock () in
+  vst.st.sys_cycles <- vst.st.sys_cycles + (t1 - t0);
+  if observed then obs_exit t vst ~tuple ~traced ~trace_tid reg sysno t1;
   result
 
 (* ------------------------------------------------------------------ *)
@@ -2024,12 +2078,15 @@ and nvx_fork t vst ~unit_idx parent_proc body =
     (* [new_tuple] rejects event-pump mode, so the stream's readers here
        are exactly the ring's active consumers. *)
     let nfoll = alive_followers t in
-    if streaming t tuple nfoll then
-      publish_event t vst ~tuple ~nfoll ~wake:true ~disp:Syscall_table.Stream
-        ~out:None (fun clock ->
-          Event.make ~kind:Event.Ev_fork ~tid:vst.inc.units.(unit_idx).u_tid
-            ~args:[| new_tu |] ~ret:child_proc.Types.pid ~clock
-            (Sysno.to_int Sysno.Fork));
+    if streaming t tuple nfoll then begin
+      let clock =
+        claim_slot t vst ~tuple ~nfoll ~wake:true ~disp:Syscall_table.Stream
+      in
+      commit_event t vst ~tuple ~nfoll ~out:None
+        (Event.make ~kind:Event.Ev_fork ~tid:vst.inc.units.(unit_idx).u_tid
+           ~args:[| new_tu |] ~ret:child_proc.Types.pid ~clock
+           (Sysno.to_int Sysno.Fork))
+    end;
     (* "The leader then continues execution, but the coordinator waits
        until all followers fork", so the child only starts once every
        live follower has subscribed to the new ring. *)
@@ -2573,9 +2630,9 @@ let stats t =
             vs_events_published = vst.st.events_published;
             vs_events_consumed = vst.st.events_consumed;
             vs_stall_blocks = vst.st.stall_blocks;
-            vs_stall_cycles = vst.st.stall_cycles;
-            vs_wait_charge_cycles = vst.st.wait_charge_cycles;
-            vs_sys_cycles = vst.st.sys_cycles;
+            vs_stall_cycles = Int64.of_int vst.st.stall_cycles;
+            vs_wait_charge_cycles = Int64.of_int vst.st.wait_charge_cycles;
+            vs_sys_cycles = Int64.of_int vst.st.sys_cycles;
             vs_divergences_executed = vst.st.divergences_executed;
             vs_divergences_skipped = vst.st.divergences_skipped;
             vs_divergences_coalesced = vst.st.divergences_coalesced;

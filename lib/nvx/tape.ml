@@ -337,7 +337,7 @@ let decode_segment t segno =
 
 (* Flatten at capture time: [out] is the leader's result buffer, handed
    over before any pool chunk can be recycled. Pure (no engine calls) —
-   runs inside Ring.publish_k. *)
+   runs between the leader's slot claim and its slot write. *)
 let append t (e : Event.t) ~out =
   if t.open_len = t.seg_entries then seal t;
   let e = Event.flatten e ~out in

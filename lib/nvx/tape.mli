@@ -42,7 +42,8 @@ val base : t -> int
 val append : t -> Varan_ringbuf.Event.t -> out:Bytes.t option -> unit
 (** Capture one published event. [out] is the event's full result buffer
     (pool payload or inline), already materialized by the publisher.
-    Pure — callable from inside {!Varan_ringbuf.Ring.publish_k}. *)
+    Pure — callable between {!Varan_ringbuf.Ring.wait_not_full} and the
+    slot write. *)
 
 val get : t -> int -> Varan_ringbuf.Event.t
 (** The flattened event at index [i]: its result buffer travels inline

@@ -228,12 +228,6 @@ let publish t v =
   wait_not_full t;
   publish_now t v
 
-let publish_k t make =
-  wait_not_full t;
-  (* No effects between the space check and the slot write: the claimed
-     sequence number and the caller's timestamp stay in order. *)
-  publish_now t (make ())
-
 let try_publish t v =
   if is_full t then begin
     t.n_producer_stalls <- t.n_producer_stalls + 1;

@@ -59,11 +59,15 @@ val active_consumers : 'a t -> int
 val publish : 'a t -> 'a -> unit
 (** Append one event; blocks while the ring is full. *)
 
-val publish_k : 'a t -> (unit -> 'a) -> unit
-(** [publish_k t make] waits for space, then runs [make] and publishes
-    its result with no interleaving point in between — used by leaders
-    whose event must carry a Lamport timestamp taken atomically with the
-    slot claim (§3.3.3). [make] must not block. *)
+val wait_not_full : 'a t -> unit
+(** Block until the ring has space for one event. A caller that makes no
+    engine call between this and {!publish_now} publishes into the slot
+    it waited for — how leaders stamp an event with a Lamport timestamp
+    taken atomically with the slot claim (§3.3.3). *)
+
+val publish_now : 'a t -> 'a -> unit
+(** Append one event without waiting: the caller has just returned from
+    {!wait_not_full} with no engine call since. *)
 
 val try_publish : 'a t -> 'a -> bool
 (** Non-blocking variant; [false] when full. *)

@@ -50,7 +50,7 @@ and entry = {
   mutable etime : int;
   mutable eseq : int;
   mutable ekind : ekind;
-  mutable e_task : task; (* [dummy_task] unless [ekind = Ek_resume] *)
+  mutable e_task : task; (* the task resumed or started; else [dummy_task] *)
   mutable e_fn : unit -> unit; (* only read when [ekind = Ek_run] *)
   mutable e_flag : bool; (* resume value for [K_bool] frames *)
   mutable e_free : entry; (* free-list link; self when not on the list *)
@@ -59,7 +59,7 @@ and entry = {
 and ekind =
   | Ek_cancelled (* inert: skipped (and recycled) without dispatching *)
   | Ek_resume (* resume [e_task]'s frame *)
-  | Ek_run (* run [e_fn] — spawn bootstrap *)
+  | Ek_run (* run [e_fn] as [e_task] — spawn bootstrap *)
 
 and cond_waiter = {
   w_task : task;
@@ -244,6 +244,15 @@ let g_switches = Varan_util.Stats.counter "engine.task_switches"
 let pending_int = ref 0
 let pending_cond = ref dummy_cond
 
+(* The current-task slot: the task whose code is running, or
+   [dummy_task] (which is [killed]) in scheduler context and outside any
+   simulation. The dispatcher sets it around every resumption and the
+   spawn bootstrap, and resets it afterwards. Together with [cur_eng]
+   (set by [drain]) it lets the task-context calls that cannot suspend
+   run as plain function calls, and lets the effect handlers be closed
+   values instead of per-effect closures over the task. *)
+let cur_task = ref dummy_task
+
 type _ Effect.t +=
   | E_consume : unit Effect.t (* cycles in [pending_int] *)
   | E_sleep : unit Effect.t (* cycles in [pending_int] *)
@@ -254,8 +263,8 @@ type _ Effect.t +=
   | E_yield : unit Effect.t
   | E_wait : unit Effect.t (* cond in [pending_cond] *)
   | E_wait_timeout : bool Effect.t (* cond + cycles in the slots *)
-  | E_signal : unit Effect.t (* cond in [pending_cond] *)
-  | E_broadcast : unit Effect.t (* cond in [pending_cond] *)
+  | E_signal : unit Effect.t (* killed task only: see [h_unwind] *)
+  | E_broadcast : unit Effect.t (* killed task only: see [h_unwind] *)
 
 let create () =
   {
@@ -272,6 +281,11 @@ let create () =
     cur_budget = max_int;
     switches = 0;
   }
+
+(* The engine being drained ([drain] saves and restores it, so a second
+   engine drained from inside a task leaves the outer one in place on
+   return). Only read while [cur_task] holds a live task. *)
+let cur_eng = ref (create ())
 
 let add_ticker t ~period fn =
   if period <= 0 then invalid_arg "Engine.add_ticker: period must be positive";
@@ -350,8 +364,9 @@ let sched_resume t time task =
   enqueue t e;
   e
 
-let sched_run t time fn =
+let sched_run t time task fn =
   let e = alloc_entry t ~time ~kind:Ek_run in
+  e.e_task <- task;
   e.e_fn <- fn;
   enqueue t e
 
@@ -397,23 +412,21 @@ let wake_waiter t w at =
   let e = sched_resume t (maxi at task.time) task in
   e.e_flag <- true
 
-(* Wake one claimable waiter of [c] at a time not before [at]. *)
+(* Wake one claimable waiter of [c] at a time not before [at]. Claimed
+   waiters are skipped and dead ones dropped. A loop rather than a local
+   recursive function, so a signal allocates no closure. *)
 let signal_at t c at =
-  let rec pop () =
-    if not (Queue.is_empty c.c_waiters) then begin
-      let w = Queue.pop c.c_waiters in
-      if w.w_claimed then pop ()
-      else if w.w_task.state = Dead then begin
-        claim_waiter c w;
-        pop ()
-      end
-      else begin
-        claim_waiter c w;
-        wake_waiter t w at
+  let woken = ref false in
+  while (not !woken) && not (Queue.is_empty c.c_waiters) do
+    let w = Queue.pop c.c_waiters in
+    if not w.w_claimed then begin
+      claim_waiter c w;
+      if w.w_task.state <> Dead then begin
+        wake_waiter t w at;
+        woken := true
       end
     end
-  in
-  pop ()
+  done
 
 (* Drain in place: tasks are cooperative and this loop performs no
    engine effect, so no waiter can register while it runs — the
@@ -430,30 +443,130 @@ let broadcast_at t c at =
     end
   done
 
-(* Inline dispatch fast path: when the performing task's resumption at
+(* Inline dispatch fast path: when the running task's resumption at
    [nt] would be the scheduler's very next pick — nothing due in the
    ready ring, every heap entry strictly later, no ticker deadline to
    cross, budget not hit — parking it and immediately dispatching it is
-   equivalent to continuing it in place. The park/resume round trip
-   through the scheduler stack costs ~4x an inline continue, so consume
-   chains (cost charging, the hottest effect in the system) skip it
-   entirely. The strict [>] on the heap top keeps (etime, eseq) order:
-   an equal-time heap entry was scheduled earlier and must run first. *)
+   equivalent to continuing it in place. Consume chains (cost charging,
+   the hottest call in the system) then skip the scheduler and, through
+   the direct calls below, the effect itself. The strict [>] on the heap
+   top keeps (etime, eseq) order: an equal-time heap entry was scheduled
+   earlier and must run first. *)
 let[@inline] can_inline t nt =
   t.ready.Ready.len = 0
   && (t.heap.Heap.len = 0 || t.heap.Heap.a.(0).etime > nt)
   && t.tick_due >= nt
   && nt <= t.cur_budget
 
-let[@inline] note_inline_switch t nt =
-  t.global_time <- nt;
-  t.switches <- t.switches + 1;
-  Varan_util.Stats.incr_counter g_switches
+(* Closed handlers for the effects that suspend. Each reads the
+   performing task from [cur_task] and its engine from [cur_eng] instead
+   of capturing them, so [effc] returns one preallocated value and
+   handling an effect allocates no closure. The direct calls below
+   perform consume, sleep and yield only once [can_inline] has failed (or
+   for a killed task), so these handlers never continue in place: they
+   park the frame or unwind. *)
+let park_frame task k at =
+  task.fr_k <- K_unit k;
+  ignore (sched_resume !cur_eng at task)
 
-let rec make_fiber : t -> task -> (unit -> unit) -> unit =
- fun t task f ->
+let h_consume =
+  Some
+    (fun (k : (unit, unit) Effect.Deep.continuation) ->
+      let task = !cur_task in
+      if task.killed then Effect.Deep.discontinue k Killed
+      else begin
+        task.time <- task.time + !pending_int;
+        park_frame task k task.time
+      end)
+
+let h_sleep =
+  Some
+    (fun (k : (unit, unit) Effect.Deep.continuation) ->
+      let task = !cur_task in
+      if task.killed then Effect.Deep.discontinue k Killed
+      else begin
+        task.state <- Blocked;
+        park_frame task k (task.time + !pending_int)
+      end)
+
+let h_yield =
+  Some
+    (fun (k : (unit, unit) Effect.Deep.continuation) ->
+      let task = !cur_task in
+      if task.killed then Effect.Deep.discontinue k Killed
+      else park_frame task k task.time)
+
+(* A live task signals directly, and outside any task the perform is
+   unhandled: only a killed task performs [E_signal] or [E_broadcast]. *)
+let h_unwind =
+  Some
+    (fun (k : (unit, unit) Effect.Deep.continuation) ->
+      Effect.Deep.discontinue k Killed)
+
+(* Queue [task] as a waiter of the cond in [pending_cond]. *)
+let park_waiter task =
+  let c = !pending_cond in
+  task.state <- Blocked;
+  let w = { w_task = task; w_cond = c; w_claimed = false } in
+  Queue.push w c.c_waiters;
+  c.c_nwaiters <- c.c_nwaiters + 1;
+  task.fr_waiter <- Some w
+
+let h_wait =
+  Some
+    (fun (k : (unit, unit) Effect.Deep.continuation) ->
+      let task = !cur_task in
+      if task.killed then Effect.Deep.discontinue k Killed
+      else begin
+        park_waiter task;
+        task.fr_k <- K_unit k
+      end)
+
+let h_wait_timeout =
+  Some
+    (fun (k : (bool, unit) Effect.Deep.continuation) ->
+      let task = !cur_task in
+      if task.killed then Effect.Deep.discontinue k Killed
+      else begin
+        park_waiter task;
+        task.fr_k <- K_bool k;
+        (* The deadline rides an ordinary resume entry with
+           [e_flag = false] ("timed out"); an earlier signal or kill
+           cancels it in O(1) via [fr_deadline]. *)
+        let d = sched_resume !cur_eng (task.time + !pending_int) task in
+        task.fr_deadline <- Some d
+      end)
+
+let rec effc :
+    type a. a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option =
   let open Effect.Deep in
-  match_with f ()
+  function
+  | E_consume -> h_consume
+  | E_sleep -> h_sleep
+  | E_yield -> h_yield
+  | E_wait -> h_wait
+  | E_wait_timeout -> h_wait_timeout
+  | E_now -> Some (fun k -> continue k (Int64.of_int !cur_task.time))
+  | E_self -> Some (fun k -> continue k !cur_task.id)
+  | E_spawn (name, body) ->
+    Some
+      (fun k ->
+        let task = !cur_task in
+        if task.killed then discontinue k Killed
+        else continue k (spawn_internal !cur_eng ?name ~at:task.time body))
+  | E_kill victim ->
+    Some
+      (fun k ->
+        let task = !cur_task in
+        kill_internal !cur_eng ~at:task.time victim;
+        if task.killed then discontinue k Killed else continue k ())
+  | E_signal -> h_unwind
+  | E_broadcast -> h_unwind
+  | _ -> None
+
+and make_fiber : t -> task -> (unit -> unit) -> unit =
+ fun t task f ->
+  Effect.Deep.match_with f ()
     {
       retc = (fun () -> if task.state <> Dead then task.state <- Finished);
       exnc =
@@ -463,118 +576,7 @@ let rec make_fiber : t -> task -> (unit -> unit) -> unit =
           | e ->
             t.failure_list <- (task.id, e) :: t.failure_list;
             task.state <- Dead);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | E_consume ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  let nt = task.time + !pending_int in
-                  task.time <- nt;
-                  if can_inline t nt then begin
-                    note_inline_switch t nt;
-                    continue k ()
-                  end
-                  else begin
-                    task.fr_k <- K_unit k;
-                    ignore (sched_resume t nt task)
-                  end
-                end)
-          | E_sleep ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  let nt = task.time + !pending_int in
-                  if can_inline t nt then begin
-                    task.time <- nt;
-                    note_inline_switch t nt;
-                    continue k ()
-                  end
-                  else begin
-                    task.state <- Blocked;
-                    task.fr_k <- K_unit k;
-                    ignore (sched_resume t nt task)
-                  end
-                end)
-          | E_now -> Some (fun k -> continue k (Int64.of_int task.time))
-          | E_self -> Some (fun k -> continue k task.id)
-          | E_spawn (name, body) ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  let id = spawn_internal t ?name ~at:task.time body in
-                  continue k id
-                end)
-          | E_kill victim ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                kill_internal t ~at:task.time victim;
-                if task.killed then discontinue k Killed else continue k ())
-          | E_yield ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else if can_inline t task.time then begin
-                  note_inline_switch t task.time;
-                  continue k ()
-                end
-                else begin
-                  task.fr_k <- K_unit k;
-                  ignore (sched_resume t task.time task)
-                end)
-          | E_wait ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  let c = !pending_cond in
-                  task.state <- Blocked;
-                  let w = { w_task = task; w_cond = c; w_claimed = false } in
-                  Queue.push w c.c_waiters;
-                  c.c_nwaiters <- c.c_nwaiters + 1;
-                  task.fr_waiter <- Some w;
-                  task.fr_k <- K_unit k
-                end)
-          | E_wait_timeout ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  let c = !pending_cond in
-                  let cycles = !pending_int in
-                  task.state <- Blocked;
-                  let w = { w_task = task; w_cond = c; w_claimed = false } in
-                  Queue.push w c.c_waiters;
-                  c.c_nwaiters <- c.c_nwaiters + 1;
-                  task.fr_waiter <- Some w;
-                  task.fr_k <- K_bool k;
-                  (* The deadline rides an ordinary resume entry with
-                     [e_flag = false] ("timed out"); an earlier signal or
-                     kill cancels it in O(1) via [fr_deadline]. *)
-                  let d = sched_resume t (task.time + cycles) task in
-                  task.fr_deadline <- Some d
-                end)
-          | E_signal ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  signal_at t !pending_cond task.time;
-                  continue k ()
-                end)
-          | E_broadcast ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if task.killed then discontinue k Killed
-                else begin
-                  broadcast_at t !pending_cond task.time;
-                  continue k ()
-                end)
-          | _ -> None);
+      effc;
     }
 
 and spawn_internal : t -> ?name:string -> at:int -> (unit -> unit) -> task_id =
@@ -598,7 +600,7 @@ and spawn_internal : t -> ?name:string -> at:int -> (unit -> unit) -> task_id =
     }
   in
   Hashtbl.replace t.tasks id task;
-  sched_run t at (fun () ->
+  sched_run t at task (fun () ->
       if task.killed || task.state = Dead then task.state <- Dead
       else if !Varan_obs.Trace.enabled then begin
         (* First dispatch slice: from spawn to the first park. *)
@@ -731,6 +733,7 @@ let drain ?cycle_budget t =
               claim_waiter w.w_cond w;
               task.fr_waiter <- None
             | None -> ());
+            cur_task := task;
             (match task.fr_k with
             | K_none -> () (* stale: ownership already transferred *)
             | K_unit k ->
@@ -769,11 +772,14 @@ let drain ?cycle_budget t =
                     ~tid:task.id task.name
                 end
                 else Effect.Deep.continue k flag
-              end)
+              end);
+            cur_task := dummy_task
           | Ek_run ->
             let fn = e.e_fn in
+            cur_task := e.e_task;
             recycle t e;
-            fn ()
+            fn ();
+            cur_task := dummy_task
           | Ek_cancelled -> recycle t e (* unreachable: pruned above *));
           loop ()
         end
@@ -781,7 +787,20 @@ let drain ?cycle_budget t =
     end
     (* tickers never outlive the work they monitor *)
   in
-  loop ()
+  (* The slots are saved once per drain, not per dispatch: a drain nested
+     in a task (a second engine run from inside the first) hands both
+     back to the outer task on return, exceptions included. *)
+  let outer_task = !cur_task and outer_eng = !cur_eng in
+  cur_task := dummy_task;
+  cur_eng := t;
+  match loop () with
+  | () ->
+    cur_task := outer_task;
+    cur_eng := outer_eng
+  | exception e ->
+    cur_task := outer_task;
+    cur_eng := outer_eng;
+    raise e
 
 let run ?cycle_budget t =
   drain ?cycle_budget t;
@@ -790,24 +809,62 @@ let run ?cycle_budget t =
 
 let run_until_quiescent ?cycle_budget t = drain ?cycle_budget t
 
-(* Task-context wrappers. The hot ones stash their payload in the
-   side-slots so the perform itself allocates nothing. *)
+(* Task-context wrappers. With a live task in the slot, the calls that
+   cannot suspend are plain function calls: the clock reads, cond
+   signals, and consume/sleep/yield when [can_inline] says the task
+   would be the scheduler's very next pick anyway. Every other case —
+   the task must park, it was killed, or no task is running — performs
+   the effect as before; the wrappers stash the payload in the side
+   slots so the perform itself allocates nothing. [dummy_task] is
+   [killed], so one test covers both "no task" and "killed". *)
+let[@inline] advance_inline task nt =
+  let t = !cur_eng in
+  if can_inline t nt then begin
+    task.time <- nt;
+    t.global_time <- nt;
+    t.switches <- t.switches + 1;
+    Varan_util.Stats.incr_counter g_switches;
+    true
+  end
+  else false
+
 let consume n =
   if n > 0 then begin
-    pending_int := n;
-    Effect.perform E_consume
+    let task = !cur_task in
+    if task.killed || not (advance_inline task (task.time + n)) then begin
+      pending_int := n;
+      Effect.perform E_consume
+    end
   end
 
 let sleep n =
-  pending_int := maxi n 0;
-  Effect.perform E_sleep
+  let n = maxi n 0 in
+  let task = !cur_task in
+  if task.killed || not (advance_inline task (task.time + n)) then begin
+    pending_int := n;
+    Effect.perform E_sleep
+  end
 
-let now_cycles () = Effect.perform E_now
-let self () = Effect.perform E_self
+let clock () =
+  let task = !cur_task in
+  if task.killed then Int64.to_int (Effect.perform E_now) else task.time
+
+let now_cycles () =
+  let task = !cur_task in
+  if task.killed then Effect.perform E_now else Int64.of_int task.time
+
+let self () =
+  let task = !cur_task in
+  if task.killed then Effect.perform E_self else task.id
+
 let spawn_here ?name body = Effect.perform (E_spawn (name, body))
 let kill t id = kill_internal t ~at:t.global_time id
 let kill_here id = Effect.perform (E_kill id)
-let yield () = Effect.perform E_yield
+
+let yield () =
+  let task = !cur_task in
+  if task.killed || not (advance_inline task task.time) then
+    Effect.perform E_yield
 
 module Cond = struct
   type nonrec cond = cond
@@ -824,12 +881,14 @@ module Cond = struct
     Effect.perform E_wait_timeout
 
   let signal c =
-    pending_cond := c;
-    Effect.perform E_signal
+    let task = !cur_task in
+    if task.killed then Effect.perform E_signal
+    else signal_at !cur_eng c task.time
 
   let broadcast c =
-    pending_cond := c;
-    Effect.perform E_broadcast
+    let task = !cur_task in
+    if task.killed then Effect.perform E_broadcast
+    else broadcast_at !cur_eng c task.time
 
   let waiters c = c.c_nwaiters
   let has_waiters c = c.c_nwaiters > 0

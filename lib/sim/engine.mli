@@ -93,7 +93,12 @@ val total_task_cycles : t -> int64
 (** {1 Task-context operations}
 
     These must be called from inside a running task; calling them outside a
-    simulation raises [Effect.Unhandled]. *)
+    simulation raises [Effect.Unhandled]. Inside a live task, the calls
+    that cannot suspend ({!now_cycles}, {!clock}, {!self},
+    {!Cond.signal}, {!Cond.broadcast}, and {!consume}, {!sleep} and
+    {!yield} when the task would be resumed next anyway) run as plain
+    function calls without an effect round trip; the outcome is the
+    same either way. *)
 
 val consume : int -> unit
 (** [consume cycles] advances the calling task's local clock. This is the
@@ -104,6 +109,9 @@ val sleep : int -> unit
 
 val now_cycles : unit -> int64
 (** The calling task's local virtual time. *)
+
+val clock : unit -> int
+(** {!now_cycles} as an immediate [int]: reading it allocates nothing. *)
 
 val self : unit -> task_id
 

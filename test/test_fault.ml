@@ -447,6 +447,44 @@ let test_lifecycle_sweep () =
   Alcotest.(check bool) "sweep rejoined followers" true (!rejoins > 0);
   ignore !deaths
 
+(* A follower quarantined while parked in the charges of a replayed
+   event — after its cursor moved past the event, before it released the
+   event's shared-memory payload — must still release that payload on
+   the way out. Lifecycle seed 900402258 (4 followers, ring 8, two long
+   follower stalls) hits that window and used to end with one payload
+   still registered, with or without checkpointing. *)
+let test_quarantine_mid_decode_releases_payload () =
+  let seed = 900402258 in
+  let base, _, _ = H.run_lifecycle_seed seed in
+  List.iter
+    (fun interval ->
+      let case =
+        {
+          base with
+          H.lifecycle =
+            Some
+              {
+                H.lifecycle_policy with
+                Lifecycle.checkpoint_interval = interval;
+              };
+        }
+      in
+      let out = H.run_case case in
+      (match H.check case out @ H.check_lifecycle case out with
+      | [] -> ()
+      | fs ->
+        Alcotest.failf "lifecycle seed %d (checkpoint interval %d): %s" seed
+          interval (String.concat "; " fs));
+      Alcotest.(check int)
+        (Printf.sprintf "no payload left registered (interval %d)" interval)
+        0 out.H.report.Oracle.outstanding_payloads;
+      match out.H.lifecycle with
+      | Some r ->
+        Alcotest.(check bool) "followers were quarantined" true
+          (r.Lifecycle.quarantines > 0)
+      | None -> Alcotest.fail "lifecycle report missing")
+    [ 0; 60_000 ]
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint/restore fast rejoin                                      *)
 (* ------------------------------------------------------------------ *)
@@ -1237,6 +1275,8 @@ let () =
             test_degrade_no_leader_remains;
           Alcotest.test_case "200-seed lifecycle sweep" `Slow
             test_lifecycle_sweep;
+          Alcotest.test_case "quarantine mid-decode releases its payload"
+            `Quick test_quarantine_mid_decode_releases_payload;
         ] );
       ( "checkpoint",
         [

@@ -452,6 +452,182 @@ let test_many_tasks_scale () =
   Alcotest.(check int) "all tasks ran" 1000 !total;
   Alcotest.(check int64) "time is max consume" 1000L (E.now eng)
 
+(* ------------------------------------------------------------------ *)
+(* The current-task slot: which calls skip the effect, and when not    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every task-context call that may run directly inside a task still
+   raises [Effect.Unhandled] where no task is running. *)
+let outside_task_calls () =
+  let c = E.Cond.create "outside" in
+  [
+    ("now_cycles", fun () -> ignore (E.now_cycles ()));
+    ("clock", fun () -> ignore (E.clock ()));
+    ("consume", fun () -> E.consume 5);
+    ("signal", fun () -> E.Cond.signal c);
+    ("broadcast", fun () -> E.Cond.broadcast c);
+  ]
+
+let unhandled f =
+  match f () with () -> false | exception Effect.Unhandled _ -> true
+
+let test_unhandled_before_run () =
+  ignore (E.create ());
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check bool) (name ^ " raises Unhandled") true (unhandled f))
+    (outside_task_calls ())
+
+let test_unhandled_in_ticker () =
+  let eng = E.create () in
+  let seen = ref [] in
+  E.add_ticker eng ~period:10 (fun () ->
+      seen :=
+        List.map (fun (name, f) -> (name, unhandled f)) (outside_task_calls ());
+      false);
+  ignore (E.spawn eng (fun () -> E.consume 100));
+  E.run eng;
+  Alcotest.(check int) "ticker fired" 5 (List.length !seen);
+  List.iter
+    (fun (name, raised) ->
+      Alcotest.(check bool)
+        (name ^ " raises Unhandled in a ticker")
+        true raised)
+    !seen
+
+(* A task killed while parked in [Cond.wait] unwinds with [Killed]; its
+   cleanup's consume and broadcast perform their effects, which
+   discontinue it again, so it ends Dead without waking anyone —
+   whichever of the two calls comes first. *)
+let test_killed_cleanup_wakes_nobody () =
+  let eng = E.create () in
+  let park = E.Cond.create "park" and bystanders = E.Cond.create "bystanders" in
+  let woken = ref 0 in
+  ignore
+    (E.spawn eng ~name:"bystander" (fun () ->
+         E.Cond.wait bystanders;
+         incr woken));
+  let victim cleanup =
+    E.spawn eng (fun () ->
+        match E.Cond.wait park with
+        | () -> ()
+        | exception e ->
+          cleanup ();
+          raise e)
+  in
+  let a =
+    victim (fun () ->
+        E.consume 10;
+        E.Cond.broadcast bystanders)
+  and b =
+    victim (fun () ->
+        E.Cond.broadcast bystanders;
+        E.consume 10)
+  in
+  ignore
+    (E.spawn eng ~name:"killer" (fun () ->
+         E.consume 50;
+         E.kill_here a;
+         E.kill_here b));
+  E.run_until_quiescent eng;
+  Alcotest.(check bool) "consume-first victim dead" false (E.is_alive eng a);
+  Alcotest.(check bool) "broadcast-first victim dead" false (E.is_alive eng b);
+  Alcotest.(check int) "nobody woken" 0 !woken;
+  Alcotest.(check int) "no failures recorded" 0 (List.length (E.failures eng));
+  Alcotest.(check int64) "no time charged past the kill" 50L (E.now eng)
+
+(* A second engine drained from inside a task hands the slots back: the
+   outer task's clock and inline consumes keep charging the outer task,
+   also after the inner run ends in an exception. *)
+let test_nested_engine_restores_slots () =
+  let outer = E.create () in
+  let inner = E.create () in
+  let log = ref [] in
+  ignore
+    (E.spawn outer ~name:"outer" (fun () ->
+         E.consume 10;
+         ignore (E.spawn inner (fun () -> E.consume 1_000));
+         E.run inner;
+         log := ("after run", E.clock ()) :: !log;
+         E.consume 7;
+         log := ("after consume", E.clock ()) :: !log;
+         ignore (E.spawn inner ~name:"runaway" (fun () -> E.consume 5_000));
+         (match E.run ~cycle_budget:2_000L inner with
+         | () -> ()
+         | exception E.Budget_exceeded _ ->
+           log := ("budget", E.clock ()) :: !log);
+         E.consume 3;
+         log := ("end", Int64.to_int (E.now_cycles ())) :: !log));
+  E.run outer;
+  Alcotest.(check (list (pair string int)))
+    "outer task's clock"
+    [ ("after run", 10); ("after consume", 17); ("budget", 17); ("end", 20) ]
+    (List.rev !log);
+  Alcotest.(check int64) "outer engine time" 20L (E.now outer);
+  Alcotest.(check int64) "inner engine time" 1_000L (E.now inner)
+
+(* Minor words are deterministic, so these gates are exact. The float
+   boxes of the [Gc.minor_words] reads themselves stay far below one
+   word per call over [calls] calls. *)
+let calls = 10_000
+
+let words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_direct_calls_allocate_nothing () =
+  let eng = E.create () in
+  let c = E.Cond.create "empty" in
+  let words = ref [] in
+  let measure name f =
+    let w =
+      words_during (fun () ->
+          for _ = 1 to calls do
+            f ()
+          done)
+    in
+    words := (name, w /. float_of_int calls) :: !words
+  in
+  ignore
+    (E.spawn eng (fun () ->
+         measure "inline consume" (fun () -> E.consume 1);
+         measure "clock" (fun () -> ignore (E.clock ()));
+         measure "broadcast, no waiters" (fun () -> E.Cond.broadcast c)));
+  E.run eng;
+  List.iter
+    (fun (name, per_call) ->
+      if per_call >= 0.01 then
+        Alcotest.failf "%s allocates %.3f words per call (gate 0)" name
+          per_call)
+    !words;
+  Alcotest.(check int64) "every consume ran inline" (Int64.of_int calls)
+    (E.now eng)
+
+(* Two tasks consuming in lockstep: neither is ever the sole next pick,
+   so every consume parks and is resumed by the dispatcher. The
+   difference between a run of [2 * calls] and one of [calls] consumes
+   per task cancels the fixed cost of creating and spawning. *)
+let test_parked_consume_allocation () =
+  let lockstep n =
+    let eng = E.create () in
+    for _ = 1 to 2 do
+      ignore
+        (E.spawn eng (fun () ->
+             for _ = 1 to n do
+               E.consume 1
+             done))
+    done;
+    let w = words_during (fun () -> E.run eng) in
+    (w, E.task_switches eng)
+  in
+  let w1, s1 = lockstep calls and w2, s2 = lockstep (2 * calls) in
+  Alcotest.(check int) "every consume parked" (2 * calls) (s2 - s1);
+  let per_switch = (w2 -. w1) /. float_of_int (s2 - s1) in
+  if per_switch > 4.0 then
+    Alcotest.failf "a parked consume allocates %.2f words per switch (gate 4)"
+      per_switch
+
 let () =
   Alcotest.run "varan_sim"
     [
@@ -501,5 +677,20 @@ let () =
             test_timeout_vs_signal_same_vtime;
           Alcotest.test_case "200-seed equivalence vs list scheduler" `Quick
             test_schedule_equivalence;
+        ] );
+      ( "slot",
+        [
+          Alcotest.test_case "unhandled before run" `Quick
+            test_unhandled_before_run;
+          Alcotest.test_case "unhandled in a ticker" `Quick
+            test_unhandled_in_ticker;
+          Alcotest.test_case "killed cleanup wakes nobody" `Quick
+            test_killed_cleanup_wakes_nobody;
+          Alcotest.test_case "nested engine restores the slots" `Quick
+            test_nested_engine_restores_slots;
+          Alcotest.test_case "direct calls allocate nothing" `Quick
+            test_direct_calls_allocate_nothing;
+          Alcotest.test_case "parked consume allocation" `Quick
+            test_parked_consume_allocation;
         ] );
     ]

@@ -450,6 +450,34 @@ let test_light_load_conservation () =
   Alcotest.(check int) "every worker finished" spec.Serving.sv_workers
     r.Clients.conns_done
 
+(* Allocation gate on the serving path (minor words are deterministic,
+   so the gate can be tight): a light-load run of 2 shards x 1 follower
+   under the serving lifecycle policy. Measured at 1,661 words per
+   arrival when the gate was set, from 3,204 before the engine's direct
+   task calls and the closure-free leader record path. *)
+let test_serving_words_per_arrival () =
+  let spec =
+    {
+      Serving.default with
+      Serving.sv_shards = 2;
+      sv_followers = 1;
+      sv_policy = Some Serving.serving_policy;
+      sv_requests = 4_000;
+      sv_warmup = 200;
+      sv_mean_gap_cycles = 8_000.0;
+    }
+  in
+  let w0 = Gc.minor_words () in
+  let o = Serving.run ~label:"test-words-per-arrival" spec in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every post-warmup arrival completed"
+    (spec.Serving.sv_requests - spec.Serving.sv_warmup)
+    o.Serving.o_result.Clients.completed;
+  let per_arrival = words /. float_of_int spec.Serving.sv_requests in
+  if per_arrival > 2_200.0 then
+    Alcotest.failf "serving allocates %.0f minor words per arrival (gate 2200)"
+      per_arrival
+
 let () =
   Alcotest.run "varan_workloads"
     [
@@ -461,6 +489,8 @@ let () =
             test_sharded_pool_shares_spawn;
           Alcotest.test_case "light load loses no request" `Quick
             test_light_load_conservation;
+          Alcotest.test_case "words per arrival" `Quick
+            test_serving_words_per_arrival;
         ] );
       ( "driver",
         [
