@@ -153,20 +153,15 @@ let nonblocking ofile = ofile.flags land Flags.o_nonblock <> 0
 (* ------------------------------------------------------------------ *)
 
 (* Append payload to the peer's receive queue. With a non-zero link
-   latency the append happens in a detached delivery task so the bytes
+   latency the append runs from a timed engine entry, so the bytes
    become visible [link_latency] cycles later, preserving order because
-   engine events at increasing times run in order. *)
+   engine entries at increasing times run in order. *)
 let deliver_to_peer k (peer : endpoint) (data : Bytes.t) =
   let append () =
     ignore (Bytequeue.write peer.ep_rx data);
     wake_sock_readers peer
   in
-  if k.link_latency = 0 then append ()
-  else
-    ignore
-      (E.spawn_here ~name:"net-delivery" (fun () ->
-           E.sleep k.link_latency;
-           append ()))
+  if k.link_latency = 0 then append () else E.after k.link_latency append
 
 let deliver_fin k (peer : endpoint) =
   let fin () =
@@ -174,12 +169,7 @@ let deliver_fin k (peer : endpoint) =
     wake_sock_readers peer;
     wake_sock_writers peer
   in
-  if k.link_latency = 0 then fin ()
-  else
-    ignore
-      (E.spawn_here ~name:"net-fin" (fun () ->
-           E.sleep k.link_latency;
-           fin ()))
+  if k.link_latency = 0 then fin () else E.after k.link_latency fin
 
 (* ------------------------------------------------------------------ *)
 (* Release on close                                                    *)

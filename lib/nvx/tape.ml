@@ -336,11 +336,16 @@ let decode_segment t segno =
 (* ------------------------------------------------------------------ *)
 
 (* Flatten at capture time: [out] is the leader's result buffer, handed
-   over before any pool chunk can be recycled. Pure (no engine calls) —
-   runs between the leader's slot claim and its slot write. *)
+   over before any pool chunk can be recycled. An event that is already
+   flat (no pooled payload, [out] riding inline) is kept as it is. Pure
+   (no engine calls) — runs between the leader's slot claim and its slot
+   write. *)
 let append t (e : Event.t) ~out =
   if t.open_len = t.seg_entries then seal t;
-  let e = Event.flatten e ~out in
+  let e =
+    if Event.fits_inline e && e.payload_len = 0 && e.inline_out == out then e
+    else Event.flatten e ~out
+  in
   if Array.length t.open_buf = 0 then t.open_buf <- Array.make t.seg_entries e;
   t.open_buf.(t.open_len) <- e;
   t.open_len <- t.open_len + 1;

@@ -16,7 +16,7 @@ type task_state = Runnable | Blocked | Finished | Dead
 (* ------------------------------------------------------------------ *)
 
 (* The parked continuation of a suspended task. Exactly one entry (or
-   cond waiter) owns the right to resume it; taking the frame
+   cond link) owns the right to resume it; taking the frame
    (resetting it to [K_none]) transfers ownership to the dispatcher, so
    a one-shot continuation can never be resumed twice. *)
 type frame_k =
@@ -36,14 +36,19 @@ type task = {
      wait) park it here and schedule a plain [Ek_resume] entry pointing
      back at the task. *)
   mutable fr_k : frame_k;
-  (* Set while parked on a condition variable and not yet claimed by a
-     signaller: lets kill (and an expiring [wait_timeout] deadline)
-     claim the waiter in O(1). *)
-  mutable fr_waiter : cond_waiter option;
-  (* The pending [wait_timeout] deadline entry, if any: an early signal
-     or kill cancels it in O(1) instead of leaving a tombstone that
-     later dispatches as a no-op. *)
-  mutable fr_deadline : entry option;
+  (* Intrusive cond-waiter links: [w_cond] is the cond the task is parked
+     on and not yet claimed from, else [dummy_cond]; while it is set,
+     [w_prev]/[w_next] thread the cond's waiter queue, with [dummy_task]
+     at either end (stale otherwise). Only unclaimed waiters are linked,
+     and every claim (signal, expiring deadline, kill) unlinks in O(1),
+     so a park allocates nothing here. *)
+  mutable w_cond : cond;
+  mutable w_prev : task;
+  mutable w_next : task;
+  (* The pending [wait_timeout] deadline entry, else [dummy_entry]: an
+     early signal or kill cancels it in O(1) instead of leaving a
+     tombstone that later dispatches as a no-op. *)
+  mutable fr_deadline : entry;
 }
 
 and entry = {
@@ -51,8 +56,11 @@ and entry = {
   mutable eseq : int;
   mutable ekind : ekind;
   mutable e_task : task; (* the task resumed or started; else [dummy_task] *)
-  mutable e_fn : unit -> unit; (* only read when [ekind = Ek_run] *)
-  mutable e_flag : bool; (* resume value for [K_bool] frames *)
+  mutable e_fn : unit -> unit; (* only read for [Ek_run] and [Ek_timer] *)
+  (* Resume value for [K_bool] frames; for [Ek_timer], "armed": the
+     entry sits at its fire time rather than at the scheduling slot. *)
+  mutable e_flag : bool;
+  mutable e_due : int; (* an unarmed [Ek_timer]'s fire time *)
   mutable e_free : entry; (* free-list link; self when not on the list *)
 }
 
@@ -60,23 +68,20 @@ and ekind =
   | Ek_cancelled (* inert: skipped (and recycled) without dispatching *)
   | Ek_resume (* resume [e_task]'s frame *)
   | Ek_run (* run [e_fn] as [e_task] — spawn bootstrap *)
-
-and cond_waiter = {
-  w_task : task;
-  w_cond : cond;
-  mutable w_claimed : bool;
-}
+  | Ek_timer (* run [e_fn] outside any task — see [after] *)
 
 and cond = {
   c_name : string;
-  c_waiters : cond_waiter Queue.t;
-  (* Unclaimed waiters currently parked: kept exact at every claim site so
-     signallers can test "anyone there?" in O(1). The ring buffer's
-     targeted-wakeup policy reads this on every publish/consume, so it
-     must not degrade into a queue walk. *)
+  mutable c_head : task; (* oldest linked waiter, else [dummy_task] *)
+  mutable c_tail : task;
+  (* Linked (unclaimed) waiters: signallers test "anyone there?" in O(1).
+     The ring buffer's targeted-wakeup policy reads this on every
+     publish/consume, so it must not degrade into a queue walk. *)
   mutable c_nwaiters : int;
 }
 
+(* The sentinels are never written: every link update tests for them
+   and writes the cond's head or tail instead. *)
 let rec dummy_task =
   {
     id = -1;
@@ -86,8 +91,10 @@ let rec dummy_task =
     state = Dead;
     killed = true;
     fr_k = K_none;
-    fr_waiter = None;
-    fr_deadline = None;
+    w_cond = dummy_cond;
+    w_prev = dummy_task;
+    w_next = dummy_task;
+    fr_deadline = dummy_entry;
   }
 
 and dummy_entry =
@@ -98,11 +105,29 @@ and dummy_entry =
     e_task = dummy_task;
     e_fn = ignore;
     e_flag = false;
+    e_due = 0;
     e_free = dummy_entry;
   }
 
-let dummy_cond =
-  { c_name = "<dummy>"; c_waiters = Queue.create (); c_nwaiters = 0 }
+and dummy_cond =
+  {
+    c_name = "<dummy>";
+    c_head = dummy_task;
+    c_tail = dummy_task;
+    c_nwaiters = 0;
+  }
+
+(* The timer clock: the current-task slot holds it while an [after]
+   callback runs, so the callback's clock reads and cond wakes see its
+   fire time. It is not [killed], so those calls run directly. *)
+let timer_task =
+  {
+    dummy_task with
+    id = -2;
+    name = "<timer>";
+    state = Runnable;
+    killed = false;
+  }
 
 module Heap = struct
   (* Binary min-heap on (etime, eseq); eseq breaks ties FIFO so execution
@@ -190,12 +215,28 @@ module Ready = struct
     e
 end
 
-(* Every transition of [w_claimed] from false to true goes through here so
-   the waiter count stays exact. *)
-let claim_waiter c w =
-  if not w.w_claimed then begin
-    w.w_claimed <- true;
-    c.c_nwaiters <- c.c_nwaiters - 1
+(* Append [task] to [c]'s waiter queue. *)
+let link_waiter c task =
+  task.w_cond <- c;
+  task.w_prev <- c.c_tail;
+  task.w_next <- dummy_task;
+  if c.c_tail == dummy_task then c.c_head <- task else c.c_tail.w_next <- task;
+  c.c_tail <- task;
+  c.c_nwaiters <- c.c_nwaiters + 1
+
+(* Claim a linked waiter: every claim goes through here, so the queue
+   holds exactly the unclaimed waiters and the count stays exact. *)
+let unlink_waiter task =
+  let c = task.w_cond and p = task.w_prev and n = task.w_next in
+  if p == dummy_task then c.c_head <- n else p.w_next <- n;
+  if n == dummy_task then c.c_tail <- p else n.w_prev <- p;
+  task.w_cond <- dummy_cond;
+  c.c_nwaiters <- c.c_nwaiters - 1
+
+let cancel_deadline task =
+  if task.fr_deadline != dummy_entry then begin
+    task.fr_deadline.ekind <- Ek_cancelled;
+    task.fr_deadline <- dummy_entry
   end
 
 (* A ticker is a periodic scheduler-context hook: it fires as virtual
@@ -263,8 +304,7 @@ type _ Effect.t +=
   | E_yield : unit Effect.t
   | E_wait : unit Effect.t (* cond in [pending_cond] *)
   | E_wait_timeout : bool Effect.t (* cond + cycles in the slots *)
-  | E_signal : unit Effect.t (* killed task only: see [h_unwind] *)
-  | E_broadcast : unit Effect.t (* killed task only: see [h_unwind] *)
+  | E_unwind : unit Effect.t (* killed task only: see [h_unwind] *)
 
 let create () =
   {
@@ -326,6 +366,7 @@ let alloc_entry t ~time ~kind =
         e_task = dummy_task;
         e_fn = ignore;
         e_flag = false;
+        e_due = 0;
         e_free = dummy_entry;
       }
     in
@@ -370,8 +411,6 @@ let sched_run t time task fn =
   e.e_fn <- fn;
   enqueue t e
 
-let cancel_entry e = e.ekind <- Ek_cancelled
-
 let now t = Int64.of_int t.global_time
 
 let task_name t id =
@@ -388,6 +427,7 @@ let task_switches t = t.switches
 (* Total task-cycles: every task's lifetime (busy + blocked vtime from
    spawn to its current local clock) summed. Tasks are never removed
    from the table, so a plain fold covers finished and dead tasks too.
+   Timed entries ([after]) are not tasks and count nothing.
    This is the denominator the cycle-attribution profile is judged
    against: the phase buckets partition (most of) this quantity. *)
 let total_task_cycles t =
@@ -397,50 +437,25 @@ let total_task_cycles t =
 
 let maxi (a : int) b = if a > b then a else b
 
-(* Schedule the resumption of a claimed waiter's task: clear the park
-   bookkeeping, cancel any pending deadline, and hand the wake time to a
+(* Claim [c]'s oldest waiter and schedule its resumption at a time not
+   before [at]: cancel any pending deadline and hand the wake time to a
    reusable [Ek_resume] entry. [e_flag = true] marks "signalled" for
-   [wait_timeout] frames; plain waits ignore it. *)
-let wake_waiter t w at =
-  let task = w.w_task in
-  task.fr_waiter <- None;
-  (match task.fr_deadline with
-  | Some d ->
-    cancel_entry d;
-    task.fr_deadline <- None
-  | None -> ());
+   [wait_timeout] frames; plain waits ignore it. A linked waiter is
+   always parked (kill unlinks before marking a task dead). *)
+let wake_head t c at =
+  let task = c.c_head in
+  unlink_waiter task;
+  cancel_deadline task;
   let e = sched_resume t (maxi at task.time) task in
   e.e_flag <- true
 
-(* Wake one claimable waiter of [c] at a time not before [at]. Claimed
-   waiters are skipped and dead ones dropped. A loop rather than a local
-   recursive function, so a signal allocates no closure. *)
-let signal_at t c at =
-  let woken = ref false in
-  while (not !woken) && not (Queue.is_empty c.c_waiters) do
-    let w = Queue.pop c.c_waiters in
-    if not w.w_claimed then begin
-      claim_waiter c w;
-      if w.w_task.state <> Dead then begin
-        wake_waiter t w at;
-        woken := true
-      end
-    end
-  done
+let signal_at t c at = if c.c_head != dummy_task then wake_head t c at
 
-(* Drain in place: tasks are cooperative and this loop performs no
-   engine effect, so no waiter can register while it runs — the
-   defensive queue copy the previous implementation paid per broadcast
-   is not needed. Claimed waiters (already woken, killed, or timed out)
-   are simply dropped. *)
+(* Tasks are cooperative and this loop performs no engine effect, so no
+   waiter can link itself while it runs. *)
 let broadcast_at t c at =
-  while not (Queue.is_empty c.c_waiters) do
-    let w = Queue.pop c.c_waiters in
-    if not w.w_claimed then begin
-      let dead = w.w_task.state = Dead in
-      claim_waiter c w;
-      if not dead then wake_waiter t w at
-    end
+  while c.c_head != dummy_task do
+    wake_head t c at
   done
 
 (* Inline dispatch fast path: when the running task's resumption at
@@ -496,8 +511,9 @@ let h_yield =
       if task.killed then Effect.Deep.discontinue k Killed
       else park_frame task k task.time)
 
-(* A live task signals directly, and outside any task the perform is
-   unhandled: only a killed task performs [E_signal] or [E_broadcast]. *)
+(* A live task signals (or schedules a timed entry) directly, and outside
+   any task the perform is unhandled: only a killed task performs
+   [E_unwind]. *)
 let h_unwind =
   Some
     (fun (k : (unit, unit) Effect.Deep.continuation) ->
@@ -505,12 +521,8 @@ let h_unwind =
 
 (* Queue [task] as a waiter of the cond in [pending_cond]. *)
 let park_waiter task =
-  let c = !pending_cond in
   task.state <- Blocked;
-  let w = { w_task = task; w_cond = c; w_claimed = false } in
-  Queue.push w c.c_waiters;
-  c.c_nwaiters <- c.c_nwaiters + 1;
-  task.fr_waiter <- Some w
+  link_waiter !pending_cond task
 
 let h_wait =
   Some
@@ -533,8 +545,8 @@ let h_wait_timeout =
         (* The deadline rides an ordinary resume entry with
            [e_flag = false] ("timed out"); an earlier signal or kill
            cancels it in O(1) via [fr_deadline]. *)
-        let d = sched_resume !cur_eng (task.time + !pending_int) task in
-        task.fr_deadline <- Some d
+        task.fr_deadline <-
+          sched_resume !cur_eng (task.time + !pending_int) task
       end)
 
 let rec effc :
@@ -560,8 +572,7 @@ let rec effc :
         let task = !cur_task in
         kill_internal !cur_eng ~at:task.time victim;
         if task.killed then discontinue k Killed else continue k ())
-  | E_signal -> h_unwind
-  | E_broadcast -> h_unwind
+  | E_unwind -> h_unwind
   | _ -> None
 
 and make_fiber : t -> task -> (unit -> unit) -> unit =
@@ -595,8 +606,10 @@ and spawn_internal : t -> ?name:string -> at:int -> (unit -> unit) -> task_id =
       state = Runnable;
       killed = false;
       fr_k = K_none;
-      fr_waiter = None;
-      fr_deadline = None;
+      w_cond = dummy_cond;
+      w_prev = dummy_task;
+      w_next = dummy_task;
+      fr_deadline = dummy_entry;
     }
   in
   Hashtbl.replace t.tasks id task;
@@ -617,24 +630,17 @@ and kill_internal t ~at victim_id =
   | Some victim ->
     if victim.state <> Finished && victim.state <> Dead then begin
       victim.killed <- true;
-      match victim.fr_waiter with
-      | Some w ->
+      if victim.w_cond != dummy_cond then begin
         (* Parked on a cond with no scheduled resumption: claim the
            waiter, drop any deadline, and schedule the unwind. The
            dispatcher sees [killed] and discontinues the frame. *)
-        claim_waiter w.w_cond w;
-        victim.fr_waiter <- None;
-        (match victim.fr_deadline with
-        | Some d ->
-          cancel_entry d;
-          victim.fr_deadline <- None
-        | None -> ());
+        unlink_waiter victim;
+        cancel_deadline victim;
         victim.state <- Dead;
         ignore (sched_resume t (maxi at victim.time) victim)
-      | None ->
-        (* Running, queued, or not yet started: the flag is checked at the
-           next scheduled resumption / effect point. *)
-        ()
+      end
+      (* Otherwise running, queued, or not yet started: the flag is
+         checked at the next scheduled resumption / effect point. *)
     end
 
 let spawn t ?name body = spawn_internal t ?name ~at:t.global_time body
@@ -660,6 +666,15 @@ let fire_due_ticker t =
     tk.tk_next <- due + tk.tk_period;
     if not (tk.tk_fn ()) then tk.tk_active <- false;
     refresh_tick_due t
+
+(* Run a timed entry's callback on the timer clock, outside any task. *)
+let fire_timer t e at =
+  let fn = e.e_fn in
+  recycle t e;
+  timer_task.time <- at;
+  cur_task := timer_task;
+  fn ();
+  cur_task := dummy_task
 
 let drain ?cycle_budget t =
   let budget =
@@ -707,14 +722,15 @@ let drain ?cycle_budget t =
           if e.etime > t.global_time then t.global_time <- e.etime
           else if
               e.etime < t.global_time
-              && e.ekind == Ek_resume
+              && (e.ekind == Ek_resume || e.ekind == Ek_timer)
               && !Varan_obs.Profile.enabled
             then
             (* The entry was due at [etime] but a ticker (or an earlier
                same-dispatch entry) already pushed virtual time past it:
-               the task resumes late through no fault of its own. This is
-               the scheduler-induced lag the profile reports as
-               sched-dispatch. *)
+               the task (or armed timer) resumes late through no fault of
+               its own. This is the scheduler-induced lag the profile
+               reports as sched-dispatch. An unarmed timer sits at the
+               current time, like a spawn bootstrap. *)
             Varan_obs.Profile.add Varan_obs.Profile.sched_dispatch
               (Int64.of_int (t.global_time - e.etime));
           t.switches <- t.switches + 1;
@@ -722,17 +738,11 @@ let drain ?cycle_budget t =
           (match e.ekind with
           | Ek_resume ->
             let task = e.e_task and etime = e.etime and flag = e.e_flag in
-            (match task.fr_deadline with
-            | Some d when d == e -> task.fr_deadline <- None
-            | _ -> ());
+            if task.fr_deadline == e then task.fr_deadline <- dummy_entry;
             recycle t e;
-            (* A still-queued waiter at resume time means the deadline
-               fired before any signal: claim it so signallers skip it. *)
-            (match task.fr_waiter with
-            | Some w ->
-              claim_waiter w.w_cond w;
-              task.fr_waiter <- None
-            | None -> ());
+            (* A still-linked waiter at resume time means the deadline
+               fired before any signal: claim it. *)
+            if task.w_cond != dummy_cond then unlink_waiter task;
             cur_task := task;
             (match task.fr_k with
             | K_none -> () (* stale: ownership already transferred *)
@@ -780,6 +790,26 @@ let drain ?cycle_budget t =
             recycle t e;
             fn ();
             cur_task := dummy_task
+          | Ek_timer ->
+            if e.e_flag then fire_timer t e e.etime
+            else begin
+              (* The scheduling slot, where a spawned task's bootstrap
+                 would run before sleeping the delay. *)
+              let due = e.e_due in
+              if can_inline t due then begin
+                t.global_time <- due;
+                t.switches <- t.switches + 1;
+                Varan_util.Stats.incr_counter g_switches;
+                fire_timer t e due
+              end
+              else begin
+                e.etime <- due;
+                e.eseq <- t.seq;
+                t.seq <- t.seq + 1;
+                e.e_flag <- true;
+                enqueue t e
+              end
+            end
           | Ek_cancelled -> recycle t e (* unreachable: pruned above *));
           loop ()
         end
@@ -858,6 +888,22 @@ let self () =
   if task.killed then Effect.perform E_self else task.id
 
 let spawn_here ?name body = Effect.perform (E_spawn (name, body))
+
+(* The dispatch slots of a task spawned here that sleeps [d] and then
+   calls [fn], without the task: an unarmed entry at the caller's
+   (time, seq) that either fires inline or re-arms at time + d with a
+   fresh seq, as that task's sleep would park. *)
+let after d fn =
+  let task = !cur_task in
+  if task.killed then Effect.perform E_unwind
+  else begin
+    let t = !cur_eng in
+    let e = alloc_entry t ~time:task.time ~kind:Ek_timer in
+    e.e_fn <- fn;
+    e.e_due <- task.time + maxi d 0;
+    enqueue t e
+  end
+
 let kill t id = kill_internal t ~at:t.global_time id
 let kill_here id = Effect.perform (E_kill id)
 
@@ -869,7 +915,8 @@ let yield () =
 module Cond = struct
   type nonrec cond = cond
 
-  let create name = { c_name = name; c_waiters = Queue.create (); c_nwaiters = 0 }
+  let create name =
+    { c_name = name; c_head = dummy_task; c_tail = dummy_task; c_nwaiters = 0 }
 
   let wait c =
     pending_cond := c;
@@ -882,12 +929,12 @@ module Cond = struct
 
   let signal c =
     let task = !cur_task in
-    if task.killed then Effect.perform E_signal
+    if task.killed then Effect.perform E_unwind
     else signal_at !cur_eng c task.time
 
   let broadcast c =
     let task = !cur_task in
-    if task.killed then Effect.perform E_broadcast
+    if task.killed then Effect.perform E_unwind
     else broadcast_at !cur_eng c task.time
 
   let waiters c = c.c_nwaiters

@@ -88,13 +88,14 @@ val total_task_cycles : t -> int64
 (** Sum over every task ever spawned of its lifetime so far — the vtime
     from spawn to its current local clock, busy and blocked alike. The
     denominator for {!Varan_obs.Profile} coverage: the attribution
-    buckets partition this quantity (minus unattributed idle). *)
+    buckets partition this quantity (minus unattributed idle). Timed
+    entries ({!after}) are not tasks and add nothing. *)
 
 (** {1 Task-context operations}
 
     These must be called from inside a running task; calling them outside a
     simulation raises [Effect.Unhandled]. Inside a live task, the calls
-    that cannot suspend ({!now_cycles}, {!clock}, {!self},
+    that cannot suspend ({!now_cycles}, {!clock}, {!self}, {!after},
     {!Cond.signal}, {!Cond.broadcast}, and {!consume}, {!sleep} and
     {!yield} when the task would be resumed next anyway) run as plain
     function calls without an effect round trip; the outcome is the
@@ -118,6 +119,18 @@ val self : unit -> task_id
 val spawn_here : ?name:string -> (unit -> unit) -> task_id
 (** Spawn a sibling task from inside a task, runnable at the caller's
     current local time. *)
+
+val after : int -> (unit -> unit) -> unit
+(** [after d fn] runs [fn] [d] cycles after the caller's current local
+    time (negative [d] counts as 0), without spawning a task. It takes
+    the same two dispatch slots as [spawn_here] of a task that sleeps
+    [d] and then calls [fn], so the schedule, {!task_switches} and every
+    virtual time match that form exactly. [fn] runs outside any task, on
+    a timer clock set to its fire time: its {!Cond.signal} and
+    {!Cond.broadcast} wake at that time and {!clock} reads it. It must
+    not block or perform other engine effects, and any exception it
+    raises propagates out of {!run}. Like {!spawn_here}, it raises
+    {!Killed} in a killed task. *)
 
 val kill_here : task_id -> unit
 (** Kill another task from inside a task. *)

@@ -138,6 +138,106 @@ let test_wait_timeout_signalled () =
   E.run eng;
   Alcotest.(check bool) "signalled before deadline" true !result
 
+(* A waiter that timed out is no longer queued on the first cond: after
+   it parks on a second cond, only that cond wakes it. *)
+let test_timeout_then_second_cond () =
+  let eng = E.create () in
+  let c1 = E.Cond.create "c1" and c2 = E.Cond.create "c2" in
+  let log = ref [] in
+  ignore
+    (E.spawn eng ~name:"waiter" (fun () ->
+         let signalled = E.Cond.wait_timeout c1 10 in
+         log := ("timeout", signalled, E.clock ()) :: !log;
+         E.Cond.wait c2;
+         log := ("c2", true, E.clock ()) :: !log));
+  ignore
+    (E.spawn eng ~name:"signaller" (fun () ->
+         E.consume 20;
+         Alcotest.(check int)
+           "c1 empty after the timeout" 0 (E.Cond.waiters c1);
+         Alcotest.(check int) "parked on c2" 1 (E.Cond.waiters c2);
+         E.Cond.signal c1;
+         E.Cond.broadcast c1;
+         E.consume 10;
+         E.Cond.signal c2));
+  E.run eng;
+  Alcotest.(check (list (triple string bool int)))
+    "woken by the deadline, then by c2 only"
+    [ ("timeout", false, 10); ("c2", true, 30) ]
+    (List.rev !log)
+
+(* Killing a waiter in the middle of the queue leaves the others in FIFO
+   order, for signal and broadcast alike. *)
+let test_kill_mid_queue_keeps_fifo () =
+  let order ~broadcast =
+    let eng = E.create () in
+    let c = E.Cond.create "c" in
+    let log = ref [] in
+    let waiters =
+      List.map
+        (fun name ->
+          E.spawn eng ~name (fun () ->
+              E.Cond.wait c;
+              log := name :: !log))
+        [ "a"; "b"; "c"; "d"; "e" ]
+    in
+    ignore
+      (E.spawn eng ~name:"conductor" (fun () ->
+           E.consume 10;
+           E.kill_here (List.nth waiters 2);
+           Alcotest.(check int) "four left" 4 (E.Cond.waiters c);
+           if broadcast then E.Cond.broadcast c
+           else
+             for _ = 1 to 4 do
+               E.Cond.signal c;
+               E.consume 1
+             done));
+    E.run eng;
+    List.rev !log
+  in
+  Alcotest.(check (list string))
+    "signal order" [ "a"; "b"; "d"; "e" ] (order ~broadcast:false);
+  Alcotest.(check (list string))
+    "broadcast order" [ "a"; "b"; "d"; "e" ] (order ~broadcast:true)
+
+(* [Cond.waiters] counts exactly the parked, unclaimed waiters through
+   every kind of claim. *)
+let test_waiters_exact () =
+  let eng = E.create () in
+  let c = E.Cond.create "c" in
+  let seen = ref [] in
+  let at label = seen := (label, E.Cond.waiters c) :: !seen in
+  for _ = 1 to 4 do
+    ignore (E.spawn eng (fun () -> E.Cond.wait c))
+  done;
+  ignore (E.spawn eng (fun () -> ignore (E.Cond.wait_timeout c 5)));
+  let victim = E.spawn eng (fun () -> ignore (E.Cond.wait_timeout c 100)) in
+  ignore
+    (E.spawn eng ~name:"conductor" (fun () ->
+         at "parked";
+         E.consume 10;
+         at "after timeout";
+         E.Cond.signal c;
+         at "after signal";
+         E.kill_here victim;
+         at "after kill";
+         E.Cond.broadcast c;
+         at "after broadcast";
+         E.Cond.signal c;
+         at "signal into nobody"));
+  E.run eng;
+  Alcotest.(check (list (pair string int)))
+    "waiter count"
+    [
+      ("parked", 6);
+      ("after timeout", 5);
+      ("after signal", 4);
+      ("after kill", 3);
+      ("after broadcast", 0);
+      ("signal into nobody", 0);
+    ]
+    (List.rev !seen)
+
 let test_deadlock_detection () =
   let eng = E.create () in
   let c = E.Cond.create "never" in
@@ -439,6 +539,99 @@ let test_schedule_equivalence () =
         (List.length expected)
   done
 
+(* 200-seed differential for [E.after]: random task programs that also
+   schedule delayed callbacks (delays 0-50, with same-slot ties) and
+   wait on a cond the callbacks broadcast. Every callback runs once
+   through a spawned task that sleeps the delay, and once through
+   [E.after]; the (label, vtime) logs and the switch counts must match.
+   Single-task seeds let the delayed entry fire inline; crowded seeds,
+   ticker deadlines and cycle budgets make it re-arm instead. *)
+type after_op =
+  | A_consume of int
+  | A_sleep of int
+  | A_yield
+  | A_after of int
+  | A_wait of int
+
+let gen_after_program rng =
+  Array.init
+    (3 + Random.State.int rng 10)
+    (fun _ ->
+      match Random.State.int rng 12 with
+      | 0 | 1 | 2 -> A_consume (Random.State.int rng 31)
+      | 3 -> A_consume 0
+      | 4 | 5 -> A_sleep (Random.State.int rng 51)
+      | 6 -> A_yield
+      | 7 -> A_after 0
+      | 8 | 9 -> A_after (Random.State.int rng 51)
+      | _ -> A_wait (Random.State.int rng 41))
+
+let after_schedule ~via_after ~ticker ~budget programs =
+  let eng = E.create () in
+  let bell = E.Cond.create "bell" in
+  let log = ref [] in
+  let note label time = log := (label, time) :: !log in
+  let delayed d fn =
+    if via_after then E.after d fn
+    else
+      ignore
+        (E.spawn_here (fun () ->
+             E.sleep d;
+             fn ()))
+  in
+  (match ticker with
+  | Some period ->
+    E.add_ticker eng ~period (fun () ->
+        note "tick" (Int64.to_int (E.now eng));
+        true)
+  | None -> ());
+  List.iteri
+    (fun i ops ->
+      ignore
+        (E.spawn eng (fun () ->
+             Array.iteri
+               (fun j op ->
+                 let label = Printf.sprintf "t%d.%d" i j in
+                 (match op with
+                 | A_consume d -> E.consume d
+                 | A_sleep d -> E.sleep d
+                 | A_yield -> E.yield ()
+                 | A_after d ->
+                   delayed d (fun () ->
+                       note ("cb" ^ label) (E.clock ());
+                       E.Cond.broadcast bell)
+                 | A_wait d ->
+                   if E.Cond.wait_timeout bell d then
+                     note "woken" (E.clock ()));
+                 note label (E.clock ()))
+               ops)))
+    programs;
+  (match E.run_until_quiescent ?cycle_budget:budget eng with
+  | () -> ()
+  | exception E.Budget_exceeded at -> note "budget" (Int64.to_int at));
+  (List.rev !log, E.task_switches eng)
+
+let test_after_equivalence () =
+  for seed = 0 to 199 do
+    let rng = Random.State.make [| 0xAF7E; seed |] in
+    let n_tasks = 1 + Random.State.int rng 5 in
+    let programs = List.init n_tasks (fun _ -> gen_after_program rng) in
+    let ticker =
+      if seed mod 3 = 0 then Some (5 + Random.State.int rng 30) else None
+    in
+    let budget =
+      if seed mod 4 = 1 then Some (Int64.of_int (40 + Random.State.int rng 200))
+      else None
+    in
+    let run via_after = after_schedule ~via_after ~ticker ~budget programs in
+    let log_s, sw_s = run false and log_a, sw_a = run true in
+    if log_s <> log_a then
+      Alcotest.failf "seed %d: after diverged from spawn_here + sleep" seed;
+    if sw_s <> sw_a then
+      Alcotest.failf "seed %d: %d task switches via after, %d via a task" seed
+        sw_a sw_s
+  done
+
 let test_many_tasks_scale () =
   let eng = E.create () in
   let total = ref 0 in
@@ -466,6 +659,7 @@ let outside_task_calls () =
     ("consume", fun () -> E.consume 5);
     ("signal", fun () -> E.Cond.signal c);
     ("broadcast", fun () -> E.Cond.broadcast c);
+    ("after", fun () -> E.after 5 ignore);
   ]
 
 let unhandled f =
@@ -487,13 +681,45 @@ let test_unhandled_in_ticker () =
       false);
   ignore (E.spawn eng (fun () -> E.consume 100));
   E.run eng;
-  Alcotest.(check int) "ticker fired" 5 (List.length !seen);
+  Alcotest.(check int) "ticker fired" (List.length (outside_task_calls ()))
+    (List.length !seen);
   List.iter
     (fun (name, raised) ->
       Alcotest.(check bool)
         (name ^ " raises Unhandled in a ticker")
         true raised)
     !seen
+
+(* In a killed task, [E.after] unwinds with [Killed] and schedules
+   nothing, as [spawn_here] does. (Outside any task it is unhandled, as
+   [outside_task_calls] checks.) *)
+let test_after_in_killed_task () =
+  let killed_calls schedule =
+    let eng = E.create () in
+    let park = E.Cond.create "park" in
+    let fired = ref false and unwound = ref false in
+    let victim =
+      E.spawn eng (fun () ->
+          match E.Cond.wait park with
+          | () -> ()
+          | exception E.Killed -> (
+            match schedule (fun () -> fired := true) with
+            | () -> ()
+            | exception E.Killed -> unwound := true))
+    in
+    ignore
+      (E.spawn eng (fun () ->
+           E.consume 10;
+           E.kill_here victim));
+    E.run eng;
+    (!unwound, !fired)
+  in
+  Alcotest.(check (pair bool bool))
+    "spawn_here in a killed task" (true, false)
+    (killed_calls (fun fn -> ignore (E.spawn_here fn)));
+  Alcotest.(check (pair bool bool))
+    "after in a killed task" (true, false)
+    (killed_calls (fun fn -> E.after 5 fn))
 
 (* A task killed while parked in [Cond.wait] unwinds with [Killed]; its
    cleanup's consume and broadcast perform their effects, which
@@ -628,6 +854,62 @@ let test_parked_consume_allocation () =
     Alcotest.failf "a parked consume allocates %.2f words per switch (gate 4)"
       per_switch
 
+(* The same differencing for cond parks: two tasks ping-pong over two
+   conds with [wait], or with a [wait_timeout] that a signal always
+   beats (an inline consume per round lets the cancelled deadlines fall
+   due), and one task lets a short [wait_timeout] expire. The gate is
+   per parked wait, so the inline consumes do not dilute it. *)
+let test_parked_cond_allocation () =
+  let measure name wait body =
+    let run n =
+      let eng = E.create () and parks = ref 0 in
+      body eng n (fun c ->
+          incr parks;
+          wait c);
+      let w = words_during (fun () -> E.run eng) in
+      Alcotest.(check int) (name ^ ": no task failed") 0
+        (List.length (E.failures eng));
+      (w, !parks)
+    in
+    let w1, p1 = run calls and w2, p2 = run (2 * calls) in
+    Alcotest.(check int) (name ^ ": parks") calls (p2 - p1);
+    let per_park = (w2 -. w1) /. float_of_int (p2 - p1) in
+    if per_park > 4.0 then
+      Alcotest.failf "a parked %s allocates %.2f words per park (gate 4)"
+        name per_park
+  in
+  let ping_pong eng n wait =
+    let ca = E.Cond.create "a" and cb = E.Cond.create "b" in
+    ignore
+      (E.spawn eng (fun () ->
+           for _ = 1 to n do
+             wait cb;
+             E.Cond.signal ca
+           done));
+    ignore
+      (E.spawn eng (fun () ->
+           for _ = 1 to n do
+             E.Cond.signal cb;
+             wait ca
+           done))
+  in
+  measure "Cond.wait" E.Cond.wait (fun eng n wait ->
+      ping_pong eng (n / 2) wait);
+  measure "signalled wait_timeout"
+    (fun c ->
+      if not (E.Cond.wait_timeout c 3) then failwith "timed out";
+      E.consume 1)
+    (fun eng n wait -> ping_pong eng (n / 2) wait);
+  measure "expiring wait_timeout"
+    (fun c -> ignore (E.Cond.wait_timeout c 1))
+    (fun eng n wait ->
+      let c = E.Cond.create "never" in
+      ignore
+        (E.spawn eng (fun () ->
+             for _ = 1 to n do
+               wait c
+             done)))
+
 let () =
   Alcotest.run "varan_sim"
     [
@@ -658,6 +940,12 @@ let () =
             test_wait_timeout_expires;
           Alcotest.test_case "wait_timeout signalled" `Quick
             test_wait_timeout_signalled;
+          Alcotest.test_case "timeout, then a second cond" `Quick
+            test_timeout_then_second_cond;
+          Alcotest.test_case "kill mid-queue keeps FIFO" `Quick
+            test_kill_mid_queue_keeps_fifo;
+          Alcotest.test_case "waiters exact through every claim" `Quick
+            test_waiters_exact;
         ] );
       ( "lifecycle",
         [
@@ -677,6 +965,8 @@ let () =
             test_timeout_vs_signal_same_vtime;
           Alcotest.test_case "200-seed equivalence vs list scheduler" `Quick
             test_schedule_equivalence;
+          Alcotest.test_case "200-seed after == spawn_here + sleep" `Quick
+            test_after_equivalence;
         ] );
       ( "slot",
         [
@@ -684,6 +974,8 @@ let () =
             test_unhandled_before_run;
           Alcotest.test_case "unhandled in a ticker" `Quick
             test_unhandled_in_ticker;
+          Alcotest.test_case "after in a killed task" `Quick
+            test_after_in_killed_task;
           Alcotest.test_case "killed cleanup wakes nobody" `Quick
             test_killed_cleanup_wakes_nobody;
           Alcotest.test_case "nested engine restores the slots" `Quick
@@ -692,5 +984,7 @@ let () =
             test_direct_calls_allocate_nothing;
           Alcotest.test_case "parked consume allocation" `Quick
             test_parked_consume_allocation;
+          Alcotest.test_case "parked cond wait allocation" `Quick
+            test_parked_cond_allocation;
         ] );
     ]

@@ -452,9 +452,11 @@ let test_light_load_conservation () =
 
 (* Allocation gate on the serving path (minor words are deterministic,
    so the gate can be tight): a light-load run of 2 shards x 1 follower
-   under the serving lifecycle policy. Measured at 1,661 words per
-   arrival when the gate was set, from 3,204 before the engine's direct
-   task calls and the closure-free leader record path. *)
+   under the serving lifecycle policy, in the dev profile. Measured at
+   3,204 words per arrival before the engine's direct task calls and the
+   closure-free leader record path, 1,661 after them, and 1,342 once
+   delayed socket messages became timed engine entries and cond waiters
+   moved into the task record. *)
 let test_serving_words_per_arrival () =
   let spec =
     {
@@ -474,8 +476,8 @@ let test_serving_words_per_arrival () =
     (spec.Serving.sv_requests - spec.Serving.sv_warmup)
     o.Serving.o_result.Clients.completed;
   let per_arrival = words /. float_of_int spec.Serving.sv_requests in
-  if per_arrival > 2_200.0 then
-    Alcotest.failf "serving allocates %.0f minor words per arrival (gate 2200)"
+  if per_arrival > 1_500.0 then
+    Alcotest.failf "serving allocates %.0f minor words per arrival (gate 1500)"
       per_arrival
 
 let () =
