@@ -267,6 +267,24 @@ let engine_chain_test =
                 done));
          E.run eng))
 
+(* The heap path: 64 tasks whose consumes interleave in virtual time
+   (task i starts i cycles late and every step consumes 64), so no
+   consume can run inline or through the ready ring. Each of the 1,024
+   switches is a heap push and pop with 64 entries live. *)
+let engine_heap_chain_test =
+  Test.make ~name:"engine-64-task-heap-chain"
+    (Staged.stage (fun () ->
+         let eng = E.create () in
+         for i = 0 to 63 do
+           ignore
+             (E.spawn eng (fun () ->
+                  E.sleep i;
+                  for _ = 1 to 16 do
+                    E.consume 64
+                  done))
+         done;
+         E.run eng))
+
 (* One lane revolution at 64 threads: a producer publishes 256 events
    round-robin across 64 tids into a ring; 64 consumer tasks pump the
    shared [Lanes] demux and drain their own lane. This is the follower
@@ -361,8 +379,8 @@ let tests =
   @ ring_tests
   @ rejoin_tests
   @ [
-      engine_test; engine_traced_test; engine_chain_test; ring_lanes_test;
-      bridge_test;
+      engine_test; engine_traced_test; engine_chain_test;
+      engine_heap_chain_test; ring_lanes_test; bridge_test;
     ]
 
 let smoke = Sys.getenv_opt "VARAN_BENCH_SMOKE" <> None

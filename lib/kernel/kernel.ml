@@ -136,15 +136,103 @@ and ready_write ofile =
   | K_listen _ -> false
   | K_epoll _ -> false
 
-let notify_epolls watchers = List.iter (fun e -> Cond.broadcast e.e_cond) watchers
+(* ------------------------------------------------------------------ *)
+(* Epoll ready lists                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* What of its mask a watch finds ready: EPOLLIN and/or EPOLLOUT. *)
+let watch_events w =
+  let ev =
+    if w.w_events land Flags.epollin <> 0 && ready_read w.w_ofile then
+      Flags.epollin
+    else 0
+  in
+  if w.w_events land Flags.epollout <> 0 && ready_write w.w_ofile then
+    ev lor Flags.epollout
+  else ev
+
+(* Objects that never notify: a regular file or device is always ready,
+   and a nested epoll does not tell its watchers when it becomes ready.
+   Their watches stay queued for good, so every [epoll_wait] re-checks
+   them, as a full scan would. *)
+let never_notifies ofile =
+  match ofile.kind with
+  | K_file _ | K_epoll _ -> true
+  | K_pipe_r _ | K_pipe_w _ | K_sock _ | K_listen _ -> false
+
+let no_watch =
+  let e =
+    {
+      e_id = -1;
+      e_watches = Hashtbl.create 1;
+      e_cond = Cond.create "no-epoll";
+      e_ready = [||];
+      e_nready = 0;
+    }
+  in
+  {
+    w_fd = -1;
+    w_ofile =
+      { of_id = -1; kind = K_epoll e; offset = 0; flags = 0; refcount = 0 };
+    w_events = 0;
+    w_ep = e;
+    w_queued = false;
+    w_revents = 0;
+  }
+
+(* Put [w] on its epoll's ready list, keeping the list sorted by fd. *)
+let queue_watch w =
+  if not w.w_queued then begin
+    w.w_queued <- true;
+    let e = w.w_ep in
+    let n = e.e_nready in
+    if n = Array.length e.e_ready then begin
+      let bigger = Array.make (max 8 (2 * n)) no_watch in
+      Array.blit e.e_ready 0 bigger 0 n;
+      e.e_ready <- bigger
+    end;
+    let a = e.e_ready in
+    let i = ref n in
+    while !i > 0 && a.(!i - 1).w_fd > w.w_fd do
+      a.(!i) <- a.(!i - 1);
+      decr i
+    done;
+    a.(!i) <- w;
+    e.e_nready <- n + 1
+  end
+
+let unqueue_watch w =
+  if w.w_queued then begin
+    w.w_queued <- false;
+    let e = w.w_ep in
+    let a = e.e_ready and n = e.e_nready - 1 in
+    let i = ref 0 in
+    while a.(!i) != w do
+      incr i
+    done;
+    Array.blit a (!i + 1) a !i (n - !i);
+    a.(n) <- no_watch;
+    e.e_nready <- n
+  end
+
+(* A readiness notification: the object behind [w] may have become
+   ready. Queue the watch, and wake the epoll's waiters only if the
+   watch's own mask is now met; a change that only another mask would
+   see (a drained peer buffer under an EPOLLIN-only watch) wakes
+   nobody. *)
+let notify_watch w =
+  queue_watch w;
+  if watch_events w <> 0 then Cond.broadcast w.w_ep.e_cond
+
+let notify_watches ws = List.iter notify_watch ws
 
 let wake_sock_readers ep =
   Cond.broadcast ep.ep_readable;
-  notify_epolls ep.ep_watchers
+  notify_watches ep.ep_watchers
 
 let wake_sock_writers ep =
   Cond.broadcast ep.ep_writable;
-  notify_epolls ep.ep_watchers
+  notify_watches ep.ep_watchers
 
 let nonblocking ofile = ofile.flags land Flags.o_nonblock <> 0
 
@@ -184,13 +272,13 @@ let release_ofile k ofile =
       p.p_readers <- p.p_readers - 1;
       if p.p_readers = 0 then begin
         Cond.broadcast p.p_writable;
-        notify_epolls p.p_watchers
+        notify_watches p.p_watchers
       end
     | K_pipe_w p ->
       p.p_writers <- p.p_writers - 1;
       if p.p_writers = 0 then begin
         Cond.broadcast p.p_readable;
-        notify_epolls p.p_watchers
+        notify_watches p.p_watchers
       end
     | K_sock ep ->
       if not ep.ep_closed then begin
@@ -392,7 +480,7 @@ let do_read k proc args =
         | Ok () ->
           let out = Bytequeue.read p.p_q want in
           Cond.broadcast p.p_writable;
-          notify_epolls p.p_watchers;
+          notify_watches p.p_watchers;
           charge_out k (Bytes.length out);
           Args.ok_out (Bytes.length out) out)
       | K_pipe_w _ -> Args.err Errno.EBADF
@@ -407,7 +495,7 @@ let do_read k proc args =
           (match ep.ep_peer with
           | Some peer -> wake_sock_writers peer
           | None -> ());
-          notify_epolls ep.ep_watchers;
+          notify_watches ep.ep_watchers;
           charge_out k (Bytes.length out);
           Args.ok_out (Bytes.length out) out)
       | K_listen _ -> Args.err Errno.EINVAL
@@ -450,7 +538,7 @@ let do_write k proc args =
             else begin
               let n = Bytequeue.write p.p_q data in
               Cond.broadcast p.p_readable;
-              notify_epolls p.p_watchers;
+              notify_watches p.p_watchers;
               Args.ok n
             end)
       | K_pipe_r _ -> Args.err Errno.EBADF
@@ -589,6 +677,12 @@ let do_listen k proc args =
         else if Hashtbl.mem k.listeners ep.ep_port then
           Args.err Errno.EADDRINUSE
         else begin
+          (* The ofile's epoll watches follow it from the socket to the
+             listener, whose connections must notify them. *)
+          let moved, kept =
+            List.partition (fun w -> w.w_ofile == o) ep.ep_watchers
+          in
+          ep.ep_watchers <- kept;
           let l =
             {
               l_id = k.next_ofile;
@@ -596,11 +690,12 @@ let do_listen k proc args =
               l_backlog = Queue.create ();
               l_closed = false;
               l_cond = Cond.create "listener";
-              l_watchers = [];
+              l_watchers = moved;
             }
           in
           Hashtbl.replace k.listeners ep.ep_port l;
           o.kind <- K_listen l;
+          notify_watches moved;
           Args.ok 0
         end
       | K_listen _ -> Args.ok 0
@@ -653,6 +748,8 @@ let do_connect k proc args =
             in
             k.next_ofile <- k.next_ofile + 1;
             ep.ep_peer <- Some server_ep;
+            (* Connected: the socket may now be writable. *)
+            notify_watches ep.ep_watchers;
             if ep.ep_port = 0 then begin
               ep.ep_port <- k.next_ephemeral_port;
               k.next_ephemeral_port <- k.next_ephemeral_port + 1
@@ -661,7 +758,7 @@ let do_connect k proc args =
             if k.link_latency > 0 then E.sleep (2 * k.link_latency);
             Queue.push server_ep l.l_backlog;
             Cond.broadcast l.l_cond;
-            notify_epolls l.l_watchers;
+            notify_watches l.l_watchers;
             Args.ok 0
           end)
       | _ -> Args.err Errno.ENOTSOCK)
@@ -735,22 +832,24 @@ let do_epoll_create k proc _args =
       e_id = k.next_ofile;
       e_watches = Hashtbl.create 16;
       e_cond = Cond.create "epoll";
+      e_ready = [||];
+      e_nready = 0;
     }
   in
   let o = new_ofile k (K_epoll e) in
   let fd = add_fd proc o in
   grant [ (fd, o) ] (Args.ok fd)
 
-let add_watcher e ofile =
-  match ofile.kind with
-  | K_sock ep -> ep.ep_watchers <- e :: ep.ep_watchers
-  | K_pipe_r p | K_pipe_w p -> p.p_watchers <- e :: p.p_watchers
-  | K_listen l -> l.l_watchers <- e :: l.l_watchers
+let add_watcher w =
+  match w.w_ofile.kind with
+  | K_sock ep -> ep.ep_watchers <- w :: ep.ep_watchers
+  | K_pipe_r p | K_pipe_w p -> p.p_watchers <- w :: p.p_watchers
+  | K_listen l -> l.l_watchers <- w :: l.l_watchers
   | K_file _ | K_epoll _ -> ()
 
-let remove_watcher e ofile =
-  let not_this x = x != e in
-  match ofile.kind with
+let remove_watcher w =
+  let not_this x = x != w in
+  match w.w_ofile.kind with
   | K_sock ep -> ep.ep_watchers <- List.filter not_this ep.ep_watchers
   | K_pipe_r p | K_pipe_w p -> p.p_watchers <- List.filter not_this p.p_watchers
   | K_listen l -> l.l_watchers <- List.filter not_this l.l_watchers
@@ -768,17 +867,30 @@ let do_epoll_ctl _k proc args =
             let o = entry.fde_ofile in
             if op = Flags.epoll_ctl_add then begin
               if Hashtbl.mem e.e_watches fd then Args.err Errno.EEXIST
+              else if (match o.kind with K_epoll e' -> e' == e | _ -> false)
+              then Args.err Errno.EINVAL (* an epoll cannot watch itself *)
               else begin
-                Hashtbl.replace e.e_watches fd
-                  { w_fd = fd; w_ofile = o; w_events = events };
-                add_watcher e o;
-                Cond.broadcast e.e_cond;
+                let w =
+                  {
+                    w_fd = fd;
+                    w_ofile = o;
+                    w_events = events;
+                    w_ep = e;
+                    w_queued = false;
+                    w_revents = 0;
+                  }
+                in
+                Hashtbl.replace e.e_watches fd w;
+                add_watcher w;
+                notify_watch w;
                 Args.ok 0
               end
             end
             else if op = Flags.epoll_ctl_del then begin
               (match Hashtbl.find_opt e.e_watches fd with
-              | Some w -> remove_watcher e w.w_ofile
+              | Some w ->
+                remove_watcher w;
+                unqueue_watch w
               | None -> ());
               Hashtbl.remove e.e_watches fd;
               Args.ok 0
@@ -787,7 +899,7 @@ let do_epoll_ctl _k proc args =
               match Hashtbl.find_opt e.e_watches fd with
               | Some w ->
                 w.w_events <- events;
-                Cond.broadcast e.e_cond;
+                notify_watch w;
                 Args.ok 0
               | None -> Args.err Errno.ENOENT
             end
@@ -804,6 +916,44 @@ let encode_epoll_events ready =
     ready;
   b
 
+(* Re-check the queued watches only: record what each finds ready in
+   [w_revents], take the ones that stopped being ready off the list (a
+   later notification queues them again) unless they never notify, and
+   return how many of at most [maxevents] to report. The list is sorted
+   by fd, so past [maxevents] the lowest fds win. *)
+let collect_ready e maxevents =
+  let a = e.e_ready and n = e.e_nready in
+  let kept = ref 0 and nready = ref 0 in
+  for i = 0 to n - 1 do
+    let w = a.(i) in
+    let ev = watch_events w in
+    w.w_revents <- ev;
+    if ev <> 0 then incr nready;
+    if ev <> 0 || never_notifies w.w_ofile then begin
+      a.(!kept) <- w;
+      incr kept
+    end
+    else w.w_queued <- false
+  done;
+  Array.fill a !kept (n - !kept) no_watch;
+  e.e_nready <- !kept;
+  max 0 (min maxevents !nready)
+
+(* The first [count] ready watches as (fd:int32, events:int32) pairs. *)
+let encode_ready e count =
+  let b = Bytes.create (8 * count) in
+  let j = ref 0 and i = ref 0 in
+  while !j < count do
+    let w = e.e_ready.(!i) in
+    if w.w_revents <> 0 then begin
+      Bytes.set_int32_le b (8 * !j) (Int32.of_int w.w_fd);
+      Bytes.set_int32_le b ((8 * !j) + 4) (Int32.of_int w.w_revents);
+      incr j
+    end;
+    incr i
+  done;
+  b
+
 let do_epoll_wait k proc args =
   let epfd = Args.int_arg args 0 in
   let maxevents = Args.int_arg args 1 in
@@ -811,30 +961,13 @@ let do_epoll_wait k proc args =
   with_fd proc epfd (fun epentry ->
       match epentry.fde_ofile.kind with
       | K_epoll e ->
-        let collect () =
-          Hashtbl.fold
-            (fun fd w acc ->
-              if List.length acc >= maxevents then acc
-              else begin
-                let ev = ref 0 in
-                if w.w_events land Flags.epollin <> 0 && ready_read w.w_ofile
-                then ev := !ev lor Flags.epollin;
-                if
-                  w.w_events land Flags.epollout <> 0
-                  && ready_write w.w_ofile
-                then ev := !ev lor Flags.epollout;
-                if !ev <> 0 then (fd, !ev) :: acc else acc
-              end)
-            e.e_watches []
-          |> List.sort compare
+        let finish count =
+          charge_out k (8 * count);
+          Args.ok_out count (encode_ready e count)
         in
-        let finish ready =
-          charge_out k (8 * List.length ready);
-          Args.ok_out (List.length ready) (encode_epoll_events ready)
-        in
-        let ready = collect () in
-        if ready <> [] then finish ready
-        else if timeout_ms = 0 then finish []
+        let ready = collect_ready e maxevents in
+        if ready > 0 then finish ready
+        else if timeout_ms = 0 then finish 0
         else begin
           let deadline_cycles =
             if timeout_ms < 0 then None
@@ -846,9 +979,9 @@ let do_epoll_wait k proc args =
           (* The idle server's home: units park here between requests, so
              this wait dominates a lightly-loaded shard's task-cycles. *)
           let t0 = Prof.mark () in
-          let finish ready =
+          let finish count =
             Prof.charge_wait Phase.kernel_wait t0;
-            finish ready
+            finish count
           in
           let rec wait_loop remaining =
             let signalled =
@@ -859,10 +992,10 @@ let do_epoll_wait k proc args =
               | Some r ->
                 if r <= 0 then false else Cond.wait_timeout e.e_cond r
             in
-            if not signalled then finish []
+            if not signalled then finish 0
             else begin
-              let ready = collect () in
-              if ready <> [] then finish ready
+              let ready = collect_ready e maxevents in
+              if ready > 0 then finish ready
               else
                 wait_loop remaining
                 (* Remaining budget bookkeeping is approximated: a spurious

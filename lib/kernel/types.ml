@@ -17,9 +17,22 @@ type epoll = {
   e_id : int;
   e_watches : (int, watch) Hashtbl.t; (* keyed by fd number *)
   e_cond : Cond.cond;
+  (* The ready list: [e_ready.(0 .. e_nready - 1)] holds the queued
+     watches, sorted by fd, each once. Every watch that is ready is
+     queued; a queued watch may have stopped being ready since, and
+     [epoll_wait] drops it then. *)
+  mutable e_ready : watch array;
+  mutable e_nready : int;
 }
 
-and watch = { w_fd : int; w_ofile : ofile; mutable w_events : int }
+and watch = {
+  w_fd : int;
+  w_ofile : ofile;
+  mutable w_events : int;
+  w_ep : epoll; (* the epoll this watch belongs to *)
+  mutable w_queued : bool; (* on [w_ep]'s ready list *)
+  mutable w_revents : int; (* what the last [epoll_wait] found ready *)
+}
 
 and pipe = {
   p_q : Bytequeue.t;
@@ -27,7 +40,7 @@ and pipe = {
   mutable p_writers : int;
   p_readable : Cond.cond;
   p_writable : Cond.cond;
-  mutable p_watchers : epoll list;
+  mutable p_watchers : watch list; (* both ends' epoll watches *)
 }
 
 and endpoint = {
@@ -39,7 +52,7 @@ and endpoint = {
   mutable ep_closed : bool;
   ep_readable : Cond.cond;
   ep_writable : Cond.cond;
-  mutable ep_watchers : epoll list;
+  mutable ep_watchers : watch list;
 }
 
 and listener = {
@@ -48,7 +61,7 @@ and listener = {
   l_backlog : endpoint Queue.t;
   mutable l_closed : bool;
   l_cond : Cond.cond;
-  mutable l_watchers : epoll list;
+  mutable l_watchers : watch list;
 }
 
 and ofile_kind =

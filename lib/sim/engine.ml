@@ -15,14 +15,27 @@ type task_state = Runnable | Blocked | Finished | Dead
 (* free list.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The parked continuation of a suspended task. Exactly one entry (or
-   cond link) owns the right to resume it; taking the frame
-   (resetting it to [K_none]) transfers ownership to the dispatcher, so
-   a one-shot continuation can never be resumed twice. *)
-type frame_k =
-  | K_none
-  | K_unit of (unit, unit) Effect.Deep.continuation
-  | K_bool of (bool, unit) Effect.Deep.continuation
+type _ Effect.t += E_no_frame : unit Effect.t
+
+(* The "no parked frame" sentinel: a real continuation, captured once
+   from a fiber that performs [E_no_frame] and is then abandoned, so it
+   is never resumed. Every suspending effect is a [unit] effect, so one
+   continuation type covers every park and storing the frame allocates
+   nothing. *)
+let no_frame : (unit, unit) Effect.Deep.continuation =
+  let slot : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with Effect.perform E_no_frame
+    {
+      retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | E_no_frame ->
+            Some (fun (k : (a, unit) Effect.Deep.continuation) -> slot := Some k)
+          | _ -> None);
+    };
+  match !slot with Some k -> k | None -> assert false
 
 type task = {
   id : task_id;
@@ -31,11 +44,16 @@ type task = {
   mutable time : int; (* local virtual clock, cycles *)
   mutable state : task_state;
   mutable killed : bool;
-  (* Reusable resumption frame: instead of capturing the continuation in
-     a fresh closure per effect, the fast paths (consume/sleep/yield/
-     wait) park it here and schedule a plain [Ek_resume] entry pointing
-     back at the task. *)
-  mutable fr_k : frame_k;
+  (* The parked continuation, else [no_frame]. The suspending handlers
+     park it here and schedule a plain [Ek_resume] entry pointing back at
+     the task. Exactly one entry (or cond link) owns the right to resume
+     it; taking the frame (resetting it to [no_frame]) transfers
+     ownership to the dispatcher, so a one-shot continuation is never
+     resumed twice. *)
+  mutable fr_k : (unit, unit) Effect.Deep.continuation;
+  (* [wait_timeout]'s result, set by the dispatcher before it resumes
+     the frame: [true] if signalled, [false] if the deadline expired. *)
+  mutable fr_flag : bool;
   (* Intrusive cond-waiter links: [w_cond] is the cond the task is parked
      on and not yet claimed from, else [dummy_cond]; while it is set,
      [w_prev]/[w_next] thread the cond's waiter queue, with [dummy_task]
@@ -57,8 +75,9 @@ and entry = {
   mutable ekind : ekind;
   mutable e_task : task; (* the task resumed or started; else [dummy_task] *)
   mutable e_fn : unit -> unit; (* only read for [Ek_run] and [Ek_timer] *)
-  (* Resume value for [K_bool] frames; for [Ek_timer], "armed": the
-     entry sits at its fire time rather than at the scheduling slot. *)
+  (* For [Ek_resume], the [fr_flag] to resume with; for [Ek_timer],
+     "armed": the entry sits at its fire time rather than at the
+     scheduling slot. *)
   mutable e_flag : bool;
   mutable e_due : int; (* an unarmed [Ek_timer]'s fire time *)
   mutable e_free : entry; (* free-list link; self when not on the list *)
@@ -90,7 +109,8 @@ let rec dummy_task =
     time = 0;
     state = Dead;
     killed = true;
-    fr_k = K_none;
+    fr_k = no_frame;
+    fr_flag = false;
     w_cond = dummy_cond;
     w_prev = dummy_task;
     w_next = dummy_task;
@@ -132,51 +152,102 @@ let timer_task =
 module Heap = struct
   (* Binary min-heap on (etime, eseq); eseq breaks ties FIFO so execution
      order is deterministic. Holds only genuinely future wakeups — due-now
-     entries go to the ready ring instead. *)
-  type t = { mutable a : entry array; mutable len : int }
+     entries go to the ready ring instead. The keys sit unboxed in [kt]
+     and [ks] beside the entries, so a sift compares two int loads
+     instead of chasing two entry pointers, and it moves a hole down (or
+     up) instead of swapping. An entry's keys never change while it is
+     in the heap. Keys are unique (eseq is), so any correct min-heap pops
+     the identical sequence. *)
+  type t = {
+    mutable a : entry array;
+    mutable kt : int array; (* a.(i).etime *)
+    mutable ks : int array; (* a.(i).eseq *)
+    mutable len : int;
+  }
 
-  let create () = { a = Array.make 256 dummy_entry; len = 0 }
+  let create () =
+    {
+      a = Array.make 64 dummy_entry;
+      kt = Array.make 64 0;
+      ks = Array.make 64 0;
+      len = 0;
+    }
 
-  let lt x y = x.etime < y.etime || (x.etime = y.etime && x.eseq < y.eseq)
+  let grow h =
+    let n = 2 * Array.length h.a in
+    let a = Array.make n dummy_entry and kt = Array.make n 0 in
+    let ks = Array.make n 0 in
+    Array.blit h.a 0 a 0 h.len;
+    Array.blit h.kt 0 kt 0 h.len;
+    Array.blit h.ks 0 ks 0 h.len;
+    h.a <- a;
+    h.kt <- kt;
+    h.ks <- ks
+
+  (* Caller must check [len > 0]. *)
+  let[@inline] top_time h = h.kt.(0)
+
+  (* Does the heap's top come before the entry [e]? *)
+  let[@inline] top_before h e =
+    let t = h.kt.(0) in
+    t < e.etime || (t = e.etime && h.ks.(0) < e.eseq)
 
   let push h e =
-    if h.len = Array.length h.a then begin
-      let bigger = Array.make (2 * h.len) dummy_entry in
-      Array.blit h.a 0 bigger 0 h.len;
-      h.a <- bigger
-    end;
-    h.a.(h.len) <- e;
+    if h.len = Array.length h.a then grow h;
+    let a = h.a and kt = h.kt and ks = h.ks in
+    let t = e.etime and s = e.eseq in
+    let i = ref h.len in
     h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && lt h.a.(!i) h.a.((!i - 1) / 2) do
+    let moving = ref true in
+    while !moving && !i > 0 do
       let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
+      let pt = kt.(p) in
+      if t < pt || (t = pt && s < ks.(p)) then begin
+        a.(!i) <- a.(p);
+        kt.(!i) <- pt;
+        ks.(!i) <- ks.(p);
+        i := p
+      end
+      else moving := false
+    done;
+    a.(!i) <- e;
+    kt.(!i) <- t;
+    ks.(!i) <- s
 
   (* Caller must check [len > 0]; no option allocation on the hot path. *)
   let pop_top h =
-    let top = h.a.(0) in
-    h.len <- h.len - 1;
-    h.a.(0) <- h.a.(h.len);
-    h.a.(h.len) <- dummy_entry;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.len && lt h.a.(l) h.a.(!smallest) then smallest := l;
-      if r < h.len && lt h.a.(r) h.a.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        let tmp = h.a.(!smallest) in
-        h.a.(!smallest) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := !smallest
-      end
-    done;
+    let a = h.a and kt = h.kt and ks = h.ks in
+    let top = a.(0) in
+    let n = h.len - 1 in
+    h.len <- n;
+    let last = a.(n) and t = kt.(n) and s = ks.(n) in
+    a.(n) <- dummy_entry;
+    if n > 0 then begin
+      let i = ref 0 and moving = ref true in
+      while !moving do
+        let l = (2 * !i) + 1 in
+        if l >= n then moving := false
+        else begin
+          let r = l + 1 in
+          let c =
+            if r < n && (kt.(r) < kt.(l) || (kt.(r) = kt.(l) && ks.(r) < ks.(l)))
+            then r
+            else l
+          in
+          let ct = kt.(c) in
+          if ct < t || (ct = t && ks.(c) < s) then begin
+            a.(!i) <- a.(c);
+            kt.(!i) <- ct;
+            ks.(!i) <- ks.(c);
+            i := c
+          end
+          else moving := false
+        end
+      done;
+      a.(!i) <- last;
+      kt.(!i) <- t;
+      ks.(!i) <- s
+    end;
     top
 end
 
@@ -303,7 +374,7 @@ type _ Effect.t +=
   | E_kill : task_id -> unit Effect.t
   | E_yield : unit Effect.t
   | E_wait : unit Effect.t (* cond in [pending_cond] *)
-  | E_wait_timeout : bool Effect.t (* cond + cycles in the slots *)
+  | E_wait_timeout : unit Effect.t (* cond + cycles in the slots *)
   | E_unwind : unit Effect.t (* killed task only: see [h_unwind] *)
 
 let create () =
@@ -440,7 +511,7 @@ let maxi (a : int) b = if a > b then a else b
 (* Claim [c]'s oldest waiter and schedule its resumption at a time not
    before [at]: cancel any pending deadline and hand the wake time to a
    reusable [Ek_resume] entry. [e_flag = true] marks "signalled" for
-   [wait_timeout] frames; plain waits ignore it. A linked waiter is
+   [wait_timeout]; plain waits ignore it. A linked waiter is
    always parked (kill unlinks before marking a task dead). *)
 let wake_head t c at =
   let task = c.c_head in
@@ -469,7 +540,7 @@ let broadcast_at t c at =
    earlier and must run first. *)
 let[@inline] can_inline t nt =
   t.ready.Ready.len = 0
-  && (t.heap.Heap.len = 0 || t.heap.Heap.a.(0).etime > nt)
+  && (t.heap.Heap.len = 0 || Heap.top_time t.heap > nt)
   && t.tick_due >= nt
   && nt <= t.cur_budget
 
@@ -481,7 +552,7 @@ let[@inline] can_inline t nt =
    for a killed task), so these handlers never continue in place: they
    park the frame or unwind. *)
 let park_frame task k at =
-  task.fr_k <- K_unit k;
+  task.fr_k <- k;
   ignore (sched_resume !cur_eng at task)
 
 let h_consume =
@@ -531,17 +602,17 @@ let h_wait =
       if task.killed then Effect.Deep.discontinue k Killed
       else begin
         park_waiter task;
-        task.fr_k <- K_unit k
+        task.fr_k <- k
       end)
 
 let h_wait_timeout =
   Some
-    (fun (k : (bool, unit) Effect.Deep.continuation) ->
+    (fun (k : (unit, unit) Effect.Deep.continuation) ->
       let task = !cur_task in
       if task.killed then Effect.Deep.discontinue k Killed
       else begin
         park_waiter task;
-        task.fr_k <- K_bool k;
+        task.fr_k <- k;
         (* The deadline rides an ordinary resume entry with
            [e_flag = false] ("timed out"); an earlier signal or kill
            cancels it in O(1) via [fr_deadline]. *)
@@ -605,7 +676,8 @@ and spawn_internal : t -> ?name:string -> at:int -> (unit -> unit) -> task_id =
       time = at;
       state = Runnable;
       killed = false;
-      fr_k = K_none;
+      fr_k = no_frame;
+      fr_flag = false;
       w_cond = dummy_cond;
       w_prev = dummy_task;
       w_next = dummy_task;
@@ -701,10 +773,9 @@ let drain ?cycle_budget t =
            entries at the current timestamp (pushed as future, reached
            since), so ties fall back to the full (etime, eseq) compare. *)
         let from_heap =
-          have_h
-          && ((not have_r) || Heap.lt heap.Heap.a.(0) (Ready.front ready))
+          have_h && ((not have_r) || Heap.top_before heap (Ready.front ready))
         in
-        if from_heap && t.tick_due < heap.Heap.a.(0).etime then begin
+        if from_heap && t.tick_due < Heap.top_time heap then begin
           (* Virtual time is about to jump past a ticker's deadline:
              fire it first, then re-select. *)
           fire_due_ticker t;
@@ -744,14 +815,15 @@ let drain ?cycle_budget t =
                fired before any signal: claim it. *)
             if task.w_cond != dummy_cond then unlink_waiter task;
             cur_task := task;
-            (match task.fr_k with
-            | K_none -> () (* stale: ownership already transferred *)
-            | K_unit k ->
-              task.fr_k <- K_none;
+            let k = task.fr_k in
+            (* [no_frame]: stale, ownership already transferred. *)
+            if k != no_frame then begin
+              task.fr_k <- no_frame;
               if task.killed then Effect.Deep.discontinue k Killed
               else begin
                 task.state <- Runnable;
                 if etime > task.time then task.time <- etime;
+                task.fr_flag <- flag;
                 if !Varan_obs.Trace.enabled then begin
                   (* One span per dispatch slice, on the engine track
                      (pid 0) keyed by task id. Begin at the resume time,
@@ -768,21 +840,7 @@ let drain ?cycle_budget t =
                 end
                 else Effect.Deep.continue k ()
               end
-            | K_bool k ->
-              task.fr_k <- K_none;
-              if task.killed then Effect.Deep.discontinue k Killed
-              else begin
-                task.state <- Runnable;
-                if etime > task.time then task.time <- etime;
-                if !Varan_obs.Trace.enabled then begin
-                  Varan_obs.Trace.begin_span ~ts:(Int64.of_int task.time)
-                    ~tid:task.id task.name;
-                  Effect.Deep.continue k flag;
-                  Varan_obs.Trace.end_span ~ts:(Int64.of_int task.time)
-                    ~tid:task.id task.name
-                end
-                else Effect.Deep.continue k flag
-              end);
+            end;
             cur_task := dummy_task
           | Ek_run ->
             let fn = e.e_fn in
@@ -922,10 +980,13 @@ module Cond = struct
     pending_cond := c;
     Effect.perform E_wait
 
+  (* The dispatcher sets the resumed task's [fr_flag] before it
+     continues the frame, and the slot holds that task on return. *)
   let wait_timeout c cycles =
     pending_cond := c;
     pending_int := cycles;
-    Effect.perform E_wait_timeout
+    Effect.perform E_wait_timeout;
+    !cur_task.fr_flag
 
   let signal c =
     let task = !cur_task in

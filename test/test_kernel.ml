@@ -714,6 +714,311 @@ let test_every_syscall_dispatches () =
   K.register_task k proc tid;
   E.run_until_quiescent eng
 
+(* ------------------------------------------------------------------ *)
+(* Epoll ready lists                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module T = Varan_kernel.Types
+module Bq = Varan_kernel.Bytequeue
+
+(* The reference: readiness recomputed from the object graph, and an
+   epoll_wait that scans every watch, sorts by fd and keeps the lowest
+   [maxevents]. *)
+let rec ref_read (o : T.ofile) =
+  match o.T.kind with
+  | T.K_file _ -> true
+  | T.K_pipe_r p -> (not (Bq.is_empty p.T.p_q)) || p.T.p_writers = 0
+  | T.K_pipe_w _ -> false
+  | T.K_sock ep -> (not (Bq.is_empty ep.T.ep_rx)) || ep.T.ep_peer_closed
+  | T.K_listen l -> not (Queue.is_empty l.T.l_backlog)
+  | T.K_epoll e -> ref_scan e max_int <> []
+
+and ref_write (o : T.ofile) =
+  match o.T.kind with
+  | T.K_file _ -> true
+  | T.K_pipe_w p -> Bq.space p.T.p_q > 0 || p.T.p_readers = 0
+  | T.K_sock ep -> (
+    (not ep.T.ep_closed)
+    &&
+    match ep.T.ep_peer with
+    | None -> false
+    | Some peer -> peer.T.ep_peer_closed || Bq.space peer.T.ep_rx > 0)
+  | T.K_pipe_r _ | T.K_listen _ | T.K_epoll _ -> false
+
+and ref_scan (e : T.epoll) maxevents =
+  Hashtbl.fold
+    (fun fd (w : T.watch) acc ->
+      let ev =
+        (if w.T.w_events land Flags.epollin <> 0 && ref_read w.T.w_ofile then
+           Flags.epollin
+         else 0)
+        lor
+        if w.T.w_events land Flags.epollout <> 0 && ref_write w.T.w_ofile then
+          Flags.epollout
+        else 0
+      in
+      if ev <> 0 then (fd, ev) :: acc else acc)
+    e.T.e_watches []
+  |> List.sort compare
+  |> List.filteri (fun i _ -> i < maxevents)
+
+(* Run to completion; a check that failed inside a task fails the test. *)
+let run_checked eng =
+  E.run eng;
+  match E.failures eng with [] -> () | (_, e) :: _ -> raise e
+
+let epoll_of proc fd =
+  match (Hashtbl.find proc.T.fds fd).T.fde_ofile.T.kind with
+  | T.K_epoll e -> e
+  | _ -> Alcotest.failf "fd %d is not an epoll" fd
+
+(* One random program over sockets, pipes, listeners, a regular file and
+   a nested epoll, all non-blocking, in one task: ADD/MOD/DEL with
+   random masks, reads and writes (some large enough to fill a pipe),
+   close, shutdown, FIN, connect and listen after ADD, and link latency
+   on every third seed. Every non-blocking epoll_wait, with small and
+   large [maxevents], must return what the full scan finds. Returns the
+   number of waits checked. *)
+let epoll_differential_case seed =
+  let rng = Random.State.make [| 0xE9011; seed |] in
+  let int n = Random.State.int rng n in
+  let link_latency = if seed mod 3 = 0 then 40 else 0 in
+  let eng = E.create () in
+  let k = K.create ~link_latency eng in
+  let proc = K.new_proc k "epoll-diff" in
+  let checks = ref 0 in
+  let tid =
+    E.spawn eng (fun () ->
+        let api = Api.direct k proc in
+        let fds = ref [] and socks = ref [] and listeners = ref [] in
+        let unconnected = ref [] in
+        let fresh ?(sock = false) fd =
+          Result.get_ok (K.set_nonblock proc fd true);
+          fds := fd :: !fds;
+          if sock then socks := fd :: !socks
+        in
+        let pick l = List.nth l (int (List.length l)) in
+        let outer = ok_int (Api.epoll_create api) in
+        let inner = ok_int (Api.epoll_create api) in
+        let file =
+          ok_int (Api.openf api "/tmp/f" (Flags.o_rdwr lor Flags.o_creat))
+        in
+        fresh file;
+        let next_port = ref 20_000 in
+        let mask () =
+          match int 4 with
+          | 0 -> Flags.epollin
+          | 1 -> Flags.epollout
+          | 2 -> Flags.epollin lor Flags.epollout
+          | _ -> 0
+        in
+        (* The outer epoll may watch the inner one, never the reverse. *)
+        let target ep =
+          if ep = outer && int 8 = 0 then Some inner
+          else if !fds = [] then None
+          else Some (pick !fds)
+        in
+        let ctl op ep =
+          match target ep with
+          | Some fd -> ignore (Api.epoll_ctl api ep op fd (mask ()))
+          | None -> ()
+        in
+        let epoll () = if int 3 = 0 then inner else outer in
+        let check ep =
+          let maxevents = if int 2 = 0 then 64 else 1 + int 3 in
+          let got =
+            match Api.epoll_wait api ep ~max_events:maxevents ~timeout_ms:0 with
+            | Ok l -> l
+            | Error e -> Alcotest.failf "epoll_wait: %s" (Errno.name e)
+          in
+          let want = ref_scan (epoll_of proc ep) maxevents in
+          let show l =
+            String.concat " "
+              (List.map (fun (fd, ev) -> Printf.sprintf "%d:%d" fd ev) l)
+          in
+          if got <> want then
+            Alcotest.failf
+              "seed %d: epoll_wait(maxevents %d) = [%s], full scan [%s]" seed
+              maxevents (show got) (show want);
+          incr checks
+        in
+        for _ = 1 to 40 + int 40 do
+          (match int 16 with
+          | 0 -> (
+            match Api.socketpair api with
+            | Ok (a, b) ->
+              fresh ~sock:true a;
+              fresh ~sock:true b
+            | Error _ -> ())
+          | 1 -> (
+            match Api.pipe api with
+            | Ok (r, w) ->
+              fresh r;
+              fresh w
+            | Error _ -> ())
+          | 2 ->
+            (* An unconnected socket, sometimes watched before it
+               connects. *)
+            let s = ok_int (Api.socket api) in
+            fresh ~sock:true s;
+            unconnected := s :: !unconnected;
+            if int 3 > 0 then
+              ignore
+                (Api.epoll_ctl api (epoll ()) Flags.epoll_ctl_add s
+                   (Flags.epollout lor if int 2 = 0 then Flags.epollin else 0))
+          | 3 ->
+            (* A listener, sometimes watched before it listens. *)
+            let s = ok_int (Api.socket api) in
+            fresh s;
+            incr next_port;
+            ok_unit (Api.bind api s !next_port);
+            if int 3 > 0 then
+              ignore
+                (Api.epoll_ctl api (epoll ()) Flags.epoll_ctl_add s
+                   (Flags.epollin lor if int 2 = 0 then Flags.epollout else 0));
+            ok_unit (Api.listen api s);
+            listeners := (s, !next_port) :: !listeners
+          | 4 when !socks <> [] && !listeners <> [] ->
+            let s =
+              match !unconnected with
+              | s :: rest ->
+                unconnected := rest;
+                s
+              | [] -> pick !socks
+            in
+            ignore (Api.connect api s (snd (pick !listeners)))
+          | 5 when !listeners <> [] -> (
+            match Api.accept api (fst (pick !listeners)) with
+            | Ok c -> fresh ~sock:true c
+            | Error _ -> ())
+          | 6 | 7 -> ctl Flags.epoll_ctl_add (epoll ())
+          | 8 -> ctl Flags.epoll_ctl_mod (epoll ())
+          | 9 -> ctl Flags.epoll_ctl_del (epoll ())
+          | 10 when !fds <> [] ->
+            let n = if int 6 = 0 then 40_000 else 1 + int 64 in
+            ignore (Api.write api (pick !fds) (Bytes.make n 'w'))
+          | 11 when !fds <> [] ->
+            let n = if int 4 = 0 then 100_000 else 1 + int 64 in
+            ignore (Api.read api (pick !fds) n)
+          | 12 when !fds <> [] ->
+            let fd = pick !fds in
+            ignore (Api.close api fd);
+            fds := List.filter (( <> ) fd) !fds;
+            socks := List.filter (( <> ) fd) !socks;
+            unconnected := List.filter (( <> ) fd) !unconnected;
+            listeners := List.filter (fun (l, _) -> l <> fd) !listeners
+          | 13 when !socks <> [] ->
+            ignore (Api.shutdown api (pick !socks) Flags.shut_wr)
+          | 14 -> E.consume (int 120)
+          | _ -> ());
+          if int 2 = 0 then check (epoll ())
+        done;
+        E.consume 200;
+        check outer;
+        check inner)
+  in
+  K.register_task k proc tid;
+  run_checked eng;
+  !checks
+
+let test_epoll_ready_list_differential () =
+  let checks = ref 0 in
+  for seed = 0 to 199 do
+    checks := !checks + epoll_differential_case seed
+  done;
+  Alcotest.(check bool) "thousands of waits checked" true (!checks > 4_000)
+
+(* A client reading its reply drains the server's send window, which
+   notifies the server's watch on the connection; the watch asks only
+   for EPOLLIN, so the server, parked in epoll_wait, stays parked: the
+   read costs exactly the task switches of the same read on an
+   unwatched socket pair (its own inline consumes), where a wake would
+   add the server's resumption and the client's own. *)
+let test_epoll_reply_read_wakes_nobody () =
+  let eng = E.create () in
+  let k = K.create eng in
+  let sproc = K.new_proc k "server" and cproc = K.new_proc k "client" in
+  let epfd = ref (-1) and switches = ref (-1, -1) in
+  let served = ref false in
+  ignore
+    (E.spawn eng ~name:"server" (fun () ->
+         let api = Api.direct k sproc in
+         let lfd = ok_int (Api.socket api) in
+         ok_unit (Api.bind api lfd 7171);
+         ok_unit (Api.listen api lfd);
+         let ep = ok_int (Api.epoll_create api) in
+         epfd := ep;
+         let c = ok_int (Api.accept api lfd) in
+         ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_add c Flags.epollin);
+         let req = ok_bytes (Api.recv api c 16) in
+         ignore (ok_int (Api.send api c req));
+         (* Parks until the client's FIN: the reply read must not wake
+            it in between. *)
+         (match Api.epoll_wait api ep ~max_events:8 ~timeout_ms:(-1) with
+         | Ok [ (fd, ev) ] when fd = c && ev = Flags.epollin -> ()
+         | _ -> Alcotest.fail "server woke without EOF");
+         Alcotest.(check int) "EOF" 0 (Bytes.length (ok_bytes (Api.recv api c 16)));
+         served := true));
+  ignore
+    (E.spawn eng ~name:"client" (fun () ->
+         let api = Api.direct k cproc in
+         E.consume 1_000;
+         let s = ok_int (Api.socket api) in
+         ok_unit (Api.connect api s 7171);
+         ignore (ok_int (Api.send api s (Bytes.of_string "ping")));
+         (* Long enough for the server to reply and park. *)
+         E.consume 50_000;
+         Alcotest.(check int) "server parked before the reply read" 1
+           (E.Cond.waiters (epoll_of sproc !epfd).T.e_cond);
+         let a, b = Result.get_ok (Api.socketpair api) in
+         ignore (ok_int (Api.send api a (Bytes.of_string "ping")));
+         let counted f =
+           let s0 = E.task_switches eng in
+           let r = f () in
+           (r, E.task_switches eng - s0)
+         in
+         let _, unwatched = counted (fun () -> ok_bytes (Api.recv api b 16)) in
+         let reply, watched = counted (fun () -> ok_bytes (Api.recv api s 16)) in
+         switches := (unwatched, watched);
+         Alcotest.(check string) "reply" "ping" (Bytes.to_string reply);
+         ignore (ok_int (Api.close api s))));
+  run_checked eng;
+  let unwatched, watched = !switches in
+  Alcotest.(check bool) "the reads were measured" true (unwatched > 0);
+  Alcotest.(check int) "switches of the reply read" unwatched watched;
+  Alcotest.(check bool) "server saw EOF" true !served
+
+(* A socket watched for EPOLLOUT before it connects becomes writable at
+   connect: the epoll's waiter must wake then. *)
+let test_epoll_connect_after_add_wakes () =
+  let eng = E.create () in
+  let k = K.create eng in
+  let lproc = K.new_proc k "listener" and proc = K.new_proc k "client" in
+  let result = ref [] and sock = ref (-1) in
+  ignore
+    (E.spawn eng ~name:"listener" (fun () ->
+         let api = Api.direct k lproc in
+         let lfd = ok_int (Api.socket api) in
+         ok_unit (Api.bind api lfd 7272);
+         ok_unit (Api.listen api lfd)));
+  ignore
+    (E.spawn eng ~name:"waiter" (fun () ->
+         let api = Api.direct k proc in
+         E.consume 100;
+         let s = ok_int (Api.socket api) in
+         sock := s;
+         let ep = ok_int (Api.epoll_create api) in
+         ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_add s Flags.epollout);
+         result := ok_int (Api.epoll_wait api ep ~max_events:8 ~timeout_ms:(-1))));
+  ignore
+    (E.spawn eng ~name:"connector" (fun () ->
+         let api = Api.direct k proc in
+         E.consume 5_000;
+         ok_unit (Api.connect api !sock 7272)));
+  run_checked eng;
+  Alcotest.(check (list (pair int int)))
+    "woken writable" [ (!sock, Flags.epollout) ] !result
+
 let () =
   Alcotest.run "varan_kernel"
     [
@@ -742,6 +1047,12 @@ let () =
             test_nonblocking_read_eagain;
           Alcotest.test_case "epoll server pattern" `Quick
             test_epoll_server_pattern;
+          Alcotest.test_case "200-seed ready list == full scan" `Quick
+            test_epoll_ready_list_differential;
+          Alcotest.test_case "epoll: reply read wakes nobody" `Quick
+            test_epoll_reply_read_wakes_nobody;
+          Alcotest.test_case "epoll: connect after ADD wakes" `Quick
+            test_epoll_connect_after_add_wakes;
           Alcotest.test_case "link latency" `Quick
             test_link_latency_delays_delivery;
         ] );
