@@ -114,13 +114,7 @@ let rec ready_read ofile =
   | K_pipe_w _ -> false
   | K_sock ep -> (not (Bytequeue.is_empty ep.ep_rx)) || ep.ep_peer_closed
   | K_listen l -> not (Queue.is_empty l.l_backlog)
-  | K_epoll e ->
-    Hashtbl.fold
-      (fun _ w acc ->
-        acc
-        || (w.w_events land Flags.epollin <> 0 && ready_read w.w_ofile)
-        || (w.w_events land Flags.epollout <> 0 && ready_write w.w_ofile))
-      e.e_watches false
+  | K_epoll e -> any_ready e 0
 
 and ready_write ofile =
   match ofile.kind with
@@ -136,12 +130,8 @@ and ready_write ofile =
   | K_listen _ -> false
   | K_epoll _ -> false
 
-(* ------------------------------------------------------------------ *)
-(* Epoll ready lists                                                   *)
-(* ------------------------------------------------------------------ *)
-
 (* What of its mask a watch finds ready: EPOLLIN and/or EPOLLOUT. *)
-let watch_events w =
+and watch_events w =
   let ev =
     if w.w_events land Flags.epollin <> 0 && ready_read w.w_ofile then
       Flags.epollin
@@ -150,6 +140,16 @@ let watch_events w =
   if w.w_events land Flags.epollout <> 0 && ready_write w.w_ofile then
     ev lor Flags.epollout
   else ev
+
+(* An epoll is readable when a watch on its ready list is ready. Every
+   ready watch is queued, so the list decides, as it does for
+   [epoll_wait]; nothing is dequeued here. *)
+and any_ready e i =
+  i < e.e_nready && (watch_events e.e_ready.(i) <> 0 || any_ready e (i + 1))
+
+(* ------------------------------------------------------------------ *)
+(* Epoll ready lists                                                   *)
+(* ------------------------------------------------------------------ *)
 
 (* Objects that never notify: a regular file or device is always ready,
    and a nested epoll does not tell its watchers when it becomes ready.
@@ -160,26 +160,6 @@ let never_notifies ofile =
   | K_file _ | K_epoll _ -> true
   | K_pipe_r _ | K_pipe_w _ | K_sock _ | K_listen _ -> false
 
-let no_watch =
-  let e =
-    {
-      e_id = -1;
-      e_watches = Hashtbl.create 1;
-      e_cond = Cond.create "no-epoll";
-      e_ready = [||];
-      e_nready = 0;
-    }
-  in
-  {
-    w_fd = -1;
-    w_ofile =
-      { of_id = -1; kind = K_epoll e; offset = 0; flags = 0; refcount = 0 };
-    w_events = 0;
-    w_ep = e;
-    w_queued = false;
-    w_revents = 0;
-  }
-
 (* Put [w] on its epoll's ready list, keeping the list sorted by fd. *)
 let queue_watch w =
   if not w.w_queued then begin
@@ -187,7 +167,7 @@ let queue_watch w =
     let e = w.w_ep in
     let n = e.e_nready in
     if n = Array.length e.e_ready then begin
-      let bigger = Array.make (max 8 (2 * n)) no_watch in
+      let bigger = Array.make (max 8 (2 * n)) w in
       Array.blit e.e_ready 0 bigger 0 n;
       e.e_ready <- bigger
     end;
@@ -211,7 +191,6 @@ let unqueue_watch w =
       incr i
     done;
     Array.blit a (!i + 1) a !i (n - !i);
-    a.(n) <- no_watch;
     e.e_nready <- n
   end
 
@@ -877,7 +856,6 @@ let do_epoll_ctl _k proc args =
                     w_events = events;
                     w_ep = e;
                     w_queued = false;
-                    w_revents = 0;
                   }
                 in
                 Hashtbl.replace e.e_watches fd w;
@@ -916,43 +894,45 @@ let encode_epoll_events ready =
     ready;
   b
 
-(* Re-check the queued watches only: record what each finds ready in
-   [w_revents], take the ones that stopped being ready off the list (a
-   later notification queues them again) unless they never notify, and
-   return how many of at most [maxevents] to report. The list is sorted
-   by fd, so past [maxevents] the lowest fds win. *)
+(* Re-check the queued watches only and encode what at most
+   [maxevents] of them find ready as (fd:int32, events:int32) pairs.
+   Watches that stopped being ready leave the list (a later notification
+   queues them again) unless they never notify. The list is sorted by
+   fd, so past [maxevents] the lowest fds win. The pairs are encoded
+   here, before the caller charges for the copy: that charge may park
+   the task, and another task sharing the epoll may change the list
+   meanwhile. *)
 let collect_ready e maxevents =
   let a = e.e_ready and n = e.e_nready in
   let kept = ref 0 and nready = ref 0 in
   for i = 0 to n - 1 do
     let w = a.(i) in
-    let ev = watch_events w in
-    w.w_revents <- ev;
-    if ev <> 0 then incr nready;
-    if ev <> 0 || never_notifies w.w_ofile then begin
+    let ready = watch_events w <> 0 in
+    if ready then incr nready;
+    if ready || never_notifies w.w_ofile then begin
       a.(!kept) <- w;
       incr kept
     end
     else w.w_queued <- false
   done;
-  Array.fill a !kept (n - !kept) no_watch;
   e.e_nready <- !kept;
-  max 0 (min maxevents !nready)
-
-(* The first [count] ready watches as (fd:int32, events:int32) pairs. *)
-let encode_ready e count =
-  let b = Bytes.create (8 * count) in
-  let j = ref 0 and i = ref 0 in
-  while !j < count do
-    let w = e.e_ready.(!i) in
-    if w.w_revents <> 0 then begin
-      Bytes.set_int32_le b (8 * !j) (Int32.of_int w.w_fd);
-      Bytes.set_int32_le b ((8 * !j) + 4) (Int32.of_int w.w_revents);
-      incr j
-    end;
-    incr i
-  done;
-  b
+  let count = min maxevents !nready in
+  if count <= 0 then Bytes.empty
+  else begin
+    let b = Bytes.create (8 * count) in
+    let j = ref 0 and i = ref 0 in
+    while !j < count do
+      let w = a.(!i) in
+      let ev = watch_events w in
+      if ev <> 0 then begin
+        Bytes.set_int32_le b (8 * !j) (Int32.of_int w.w_fd);
+        Bytes.set_int32_le b ((8 * !j) + 4) (Int32.of_int ev);
+        incr j
+      end;
+      incr i
+    done;
+    b
+  end
 
 let do_epoll_wait k proc args =
   let epfd = Args.int_arg args 0 in
@@ -961,13 +941,12 @@ let do_epoll_wait k proc args =
   with_fd proc epfd (fun epentry ->
       match epentry.fde_ofile.kind with
       | K_epoll e ->
-        let finish count =
-          charge_out k (8 * count);
-          Args.ok_out count (encode_ready e count)
+        let finish b =
+          charge_out k (Bytes.length b);
+          Args.ok_out (Bytes.length b / 8) b
         in
         let ready = collect_ready e maxevents in
-        if ready > 0 then finish ready
-        else if timeout_ms = 0 then finish 0
+        if Bytes.length ready > 0 || timeout_ms = 0 then finish ready
         else begin
           let deadline_cycles =
             if timeout_ms < 0 then None
@@ -979,9 +958,9 @@ let do_epoll_wait k proc args =
           (* The idle server's home: units park here between requests, so
              this wait dominates a lightly-loaded shard's task-cycles. *)
           let t0 = Prof.mark () in
-          let finish count =
+          let finish b =
             Prof.charge_wait Phase.kernel_wait t0;
-            finish count
+            finish b
           in
           let rec wait_loop remaining =
             let signalled =
@@ -992,10 +971,10 @@ let do_epoll_wait k proc args =
               | Some r ->
                 if r <= 0 then false else Cond.wait_timeout e.e_cond r
             in
-            if not signalled then finish 0
+            if not signalled then finish Bytes.empty
             else begin
               let ready = collect_ready e maxevents in
-              if ready > 0 then finish ready
+              if Bytes.length ready > 0 then finish ready
               else
                 wait_loop remaining
                 (* Remaining budget bookkeeping is approximated: a spurious

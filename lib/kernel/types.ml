@@ -20,7 +20,8 @@ type epoll = {
   (* The ready list: [e_ready.(0 .. e_nready - 1)] holds the queued
      watches, sorted by fd, each once. Every watch that is ready is
      queued; a queued watch may have stopped being ready since, and
-     [epoll_wait] drops it then. *)
+     [epoll_wait] drops it then. Slots past [e_nready] are stale: each
+     still holds a watch until the list grows over it again. *)
   mutable e_ready : watch array;
   mutable e_nready : int;
 }
@@ -31,7 +32,6 @@ and watch = {
   mutable w_events : int;
   w_ep : epoll; (* the epoll this watch belongs to *)
   mutable w_queued : bool; (* on [w_ep]'s ready list *)
-  mutable w_revents : int; (* what the last [epoll_wait] found ready *)
 }
 
 and pipe = {

@@ -167,9 +167,9 @@ module Heap = struct
 
   let create () =
     {
-      a = Array.make 64 dummy_entry;
-      kt = Array.make 64 0;
-      ks = Array.make 64 0;
+      a = Array.make 256 dummy_entry;
+      kt = Array.make 256 0;
+      ks = Array.make 256 0;
       len = 0;
     }
 

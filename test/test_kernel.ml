@@ -1019,6 +1019,100 @@ let test_epoll_connect_after_add_wakes () =
   Alcotest.(check (list (pair int int)))
     "woken writable" [ (!sock, Flags.epollout) ] !result
 
+(* epoll_wait encodes what it collected before it charges for the copy:
+   that charge may park the waiter, and threads sharing the epoll may
+   change its ready list meanwhile. One run: an epoll watches [x1] with
+   an empty mask and [x2] for EPOLLIN (x1 < x2), both sockets hold data,
+   and a waiter calls epoll_wait at cycle [t], so it collects x2 at
+   entry. Optional threads act at given cycles: DEL [x2], MOD [x1] to
+   EPOLLIN (queueing it, now ready), and a non-blocking epoll_wait that
+   re-collects the list. Returns the waiter's events, with x1 and x2 as
+   1 and 2, and [t]. *)
+let epoll_shared_run ?del_at ?mod_at ?wait_at () =
+  let eng = E.create () in
+  let k = K.create eng in
+  let proc = K.new_proc k "threads" in
+  let ep = ref (-1) and x1 = ref (-1) and x2 = ref (-1) in
+  let result = ref [] and t = ref 0 in
+  ignore
+    (E.spawn eng ~name:"waiter" (fun () ->
+         let api = Api.direct k proc in
+         let a, b = Result.get_ok (Api.socketpair api) in
+         let c, d = Result.get_ok (Api.socketpair api) in
+         x1 := a;
+         x2 := c;
+         ep := ok_int (Api.epoll_create api);
+         ok_unit (Api.epoll_ctl api !ep Flags.epoll_ctl_add a 0);
+         ok_unit (Api.epoll_ctl api !ep Flags.epoll_ctl_add c Flags.epollin);
+         ignore (ok_int (Api.send api b (Bytes.of_string "y")));
+         ignore (ok_int (Api.send api d (Bytes.of_string "x")));
+         t := E.clock ();
+         result := ok_int (Api.epoll_wait api !ep ~max_events:8 ~timeout_ms:5)));
+  let thread at name f =
+    Option.iter
+      (fun at ->
+        ignore
+          (E.spawn eng ~name (fun () ->
+               E.consume at;
+               f (Api.direct k proc))))
+      at
+  in
+  thread del_at "del" (fun api ->
+      ok_unit (Api.epoll_ctl api !ep Flags.epoll_ctl_del !x2 0));
+  thread mod_at "mod" (fun api ->
+      ok_unit (Api.epoll_ctl api !ep Flags.epoll_ctl_mod !x1 Flags.epollin));
+  thread wait_at "rewait" (fun api ->
+      ignore (Api.epoll_wait api !ep ~max_events:8 ~timeout_ms:0));
+  run_checked eng;
+  let events =
+    List.map
+      (fun (fd, ev) ->
+        Alcotest.(check int) "EPOLLIN" Flags.epollin ev;
+        if fd = !x1 then 1 else if fd = !x2 then 2 else Alcotest.failf "fd %d" fd)
+      !result
+  in
+  (events, !t)
+
+let show l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]"
+
+(* DEL [x2] at every cycle from before the waiter's call until it
+   reports, so one run deletes inside the charge: the waiter must
+   report x2 exactly when it was still watched at the collect. Returns
+   the first cycle at which it reports, the start of the charge. *)
+let epoll_del_sweep () =
+  let _, t = epoll_shared_run () in
+  let rec go at =
+    if at > t + 5_000 then Alcotest.fail "the waiter never reported"
+    else
+      match fst (epoll_shared_run ~del_at:at ()) with
+      | [] -> go (at + 1)
+      | [ 2 ] when at > t - 100 -> at
+      | l -> Alcotest.failf "DEL at %d: reported %s" at (show l)
+  in
+  go (t - 100)
+
+let test_epoll_shared_del_during_charge () = ignore (epoll_del_sweep ())
+
+(* Around the charge, one thread makes [x1] ready with MOD and a second
+   re-collects; epoll_wait's flat cost is [lead] cycles above
+   epoll_ctl's, so the second calls that much earlier to collect just
+   after the MOD. The waiter collected x2, so it must report it, with x1
+   only if the MOD came before the collect; never x1 alone, which is
+   what encoding after the charge reports. *)
+let test_epoll_shared_wait_during_charge () =
+  let start = epoll_del_sweep () in
+  let base = Varan_cycles.Cost.default.native_base in
+  let lead = base Varan_syscall.Sysno.Epoll_wait - base Epoll_ctl in
+  for mod_at = start - 2 to start + 2 do
+    for wait_at = mod_at - lead - 4 to mod_at - lead + 4 do
+      match fst (epoll_shared_run ~mod_at ~wait_at ()) with
+      | [ 2 ] | [ 1; 2 ] -> ()
+      | l ->
+        Alcotest.failf "MOD at %d, re-collect at %d: reported %s" mod_at
+          wait_at (show l)
+    done
+  done
+
 let () =
   Alcotest.run "varan_kernel"
     [
@@ -1053,6 +1147,10 @@ let () =
             test_epoll_reply_read_wakes_nobody;
           Alcotest.test_case "epoll: connect after ADD wakes" `Quick
             test_epoll_connect_after_add_wakes;
+          Alcotest.test_case "epoll: DEL in the copy charge" `Quick
+            test_epoll_shared_del_during_charge;
+          Alcotest.test_case "epoll: re-collect in the copy charge" `Quick
+            test_epoll_shared_wait_during_charge;
           Alcotest.test_case "link latency" `Quick
             test_link_latency_delays_delivery;
         ] );

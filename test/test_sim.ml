@@ -475,7 +475,7 @@ let test_timeout_vs_signal_same_vtime () =
    pressure) must produce the identical completion log under both,
    proving the (etime, eseq) dispatch order survived the overhaul. A
    heap-stress case adds hundreds of tasks that all sleep at once (the
-   heap's arrays grow from 64 slots past 256), durations drawn from a few
+   heap's arrays grow past their initial 256 slots), durations drawn from a few
    values (equal-time ties), and [wait_timeout]s on a shared bell that
    other tasks ring, whose cancelled deadlines stay in the heap until
    they surface. *)
