@@ -934,8 +934,8 @@ let serve_cmd =
       & opt (some string) None
       & info [ "stats-json" ] ~docv:"FILE"
           ~doc:
-            "Dump the whole stats registry — every counter and every \
-             latency histogram — as JSON to FILE after the run.")
+            "Dump every registered stats counter as JSON to FILE after the \
+             run.")
   in
   let run shards followers requests workers gap seed trace_out postmortem_dir
       profile stats_json =

@@ -10,7 +10,6 @@ type segment = {
 }
 
 let rx = { r = true; w = false; x = true }
-let rw = { r = true; w = true; x = false }
 let ro = { r = true; w = false; x = false }
 
 let check_wx name perm =
@@ -34,5 +33,3 @@ let with_writable seg f =
 type t = { image_name : string; segments : segment list; entry : int }
 
 let make ~name ~entry segments = { image_name = name; segments; entry }
-let exec_segments t = List.filter (fun s -> s.perm.x) t.segments
-let find_segment t name = List.find_opt (fun s -> s.seg_name = name) t.segments

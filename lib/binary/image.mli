@@ -19,7 +19,6 @@ type segment = {
 }
 
 val rx : perm
-val rw : perm
 val ro : perm
 
 val make_segment : name:string -> base:int -> perm:perm -> Bytes.t -> segment
@@ -40,9 +39,3 @@ type t = {
 }
 
 val make : name:string -> entry:int -> segment list -> t
-
-val exec_segments : t -> segment list
-(** Segments currently mapped executable — the ones the rewriter scans
-    when "code is loaded into memory" (§2.1). *)
-
-val find_segment : t -> string -> segment option

@@ -31,9 +31,6 @@ val create : ?capacity:int -> unit -> t
 (** A cache holding at most [capacity] (default 64) distinct images;
     insertion beyond that evicts in FIFO order. *)
 
-val image_key : Bytes.t -> string
-(** The content address of an original (pre-rewrite) code buffer. *)
-
 val prepare : t -> ?first_site_id:int -> Bytes.t -> Rewriter.result
 (** [prepare t ~first_site_id code] returns the rewritten image with
     absolute site ids starting at [first_site_id]: a cold rewrite on the
@@ -56,6 +53,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val hit_rate_c100 : t -> int
-(** Percentage of lookups served from cache (0 when none yet). *)

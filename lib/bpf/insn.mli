@@ -59,10 +59,8 @@ val pp_program : Format.formatter -> t array -> unit
 (** Byte offsets of the seccomp_data fields, for readable filters. *)
 
 val data_nr : int
-val data_arg : int -> int
 
 (** Word indices of the event extension. *)
 
 val event_nr : int
 val event_ret : int
-val event_arg : int -> int

@@ -177,5 +177,3 @@ let mem_slowdown_c1000 c ~intensity_c1000 ~variants =
     let saturated = over * c.mem_saturated_c1000 * intensity_c1000 / 1000 in
     1000 + linear + saturated
   end
-
-let scale_by_c1000 cycles f = ((cycles * f) + 500) / 1000

@@ -39,13 +39,3 @@ let scan buf =
 
 let branch_targets buf = (scan buf).targets
 let syscall_sites buf = (scan buf).syscalls
-
-let pp_listing ppf buf =
-  List.iter
-    (fun it ->
-      match it.insn with
-      | Some insn -> Format.fprintf ppf "%04x: %a@." it.addr Insn.pp insn
-      | None ->
-        Format.fprintf ppf "%04x: .byte 0x%02x@." it.addr
-          (Char.code (Bytes.get buf it.addr)))
-    (sweep buf)

@@ -34,6 +34,3 @@ val branch_targets : Bytes.t -> (int, unit) Hashtbl.t
 
 val syscall_sites : Bytes.t -> int list
 (** [(scan buf).syscalls]. *)
-
-val pp_listing : Format.formatter -> Bytes.t -> unit
-(** Human-readable listing, one instruction per line. *)

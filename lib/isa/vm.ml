@@ -26,6 +26,7 @@ let record_syscall st =
   st.trace <- T_syscall (st.regs.(0), Array.sub st.regs 1 6) :: st.trace;
   st.regs.(0) <- 0
 
+(* Syscalls record a trace entry and return 0; traps and hooks fault. *)
 let default_hooks =
   { on_syscall = record_syscall; on_hook = None; on_trap = None }
 

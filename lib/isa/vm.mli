@@ -40,13 +40,10 @@ type hooks = {
       (** INT/INT3 handler (the rewriter's signal-handler path) *)
 }
 
-val default_hooks : hooks
-(** [on_syscall] records a trace entry and sets R0 := 0; traps and hooks
-    fault. *)
-
 val run : ?hooks:hooks -> ?max_steps:int -> Bytes.t -> entry:int -> state
 (** Execute until [Hlt], a [Ret] with an empty stack, or [max_steps]
-    (default 100_000; exceeding it faults). *)
+    (default 100_000; exceeding it faults). Without [hooks], a syscall
+    records a trace entry and sets R0 := 0, and traps and hooks fault. *)
 
 val syscall_trace : state -> (int * int array) list
 (** Syscalls in execution order (from both direct [Syscall] execution and

@@ -268,20 +268,12 @@ let decode_time_ns b =
       (Int64.mul (get_le64 b 0) 1_000_000_000L)
       (get_le64 b 8)
 
-let gettimeofday_ns api =
-  match lift_out (api.sys Sysno.Gettimeofday [| Args.Buf_out 16 |]) with
-  | Ok b -> decode_time_ns b
-  | Error _ -> 0L
-
 let clock_gettime_ns api =
   match
     lift_out (api.sys Sysno.Clock_gettime [| Args.Int 1; Args.Buf_out 16 |])
   with
   | Ok b -> decode_time_ns b
   | Error _ -> 0L
-
-let nanosleep_us api us =
-  ignore (api.sys Sysno.Nanosleep [| Args.Int (us * 1000); Args.Int 0 |])
 
 let futex_wait api uaddr =
   ignore

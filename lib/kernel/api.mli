@@ -107,9 +107,7 @@ val geteuid : t -> int
 val getgid : t -> int
 val getegid : t -> int
 val time : t -> int
-val gettimeofday_ns : t -> int64
 val clock_gettime_ns : t -> int64
-val nanosleep_us : t -> int -> unit
 val futex_wait : t -> int -> unit
 val futex_wake : t -> int -> int -> int
 

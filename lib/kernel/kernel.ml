@@ -151,14 +151,13 @@ and any_ready e i =
 (* Epoll ready lists                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Objects that never notify: a regular file or device is always ready,
-   and a nested epoll does not tell its watchers when it becomes ready.
-   Their watches stay queued for good, so every [epoll_wait] re-checks
-   them, as a full scan would. *)
+(* A regular file or device never notifies: it is always ready, so its
+   watches stay queued for good and every [epoll_wait] re-checks them,
+   as a full scan would. *)
 let never_notifies ofile =
   match ofile.kind with
-  | K_file _ | K_epoll _ -> true
-  | K_pipe_r _ | K_pipe_w _ | K_sock _ | K_listen _ -> false
+  | K_file _ -> true
+  | K_pipe_r _ | K_pipe_w _ | K_sock _ | K_listen _ | K_epoll _ -> false
 
 (* Put [w] on its epoll's ready list, keeping the list sorted by fd. *)
 let queue_watch w =
@@ -198,10 +197,14 @@ let unqueue_watch w =
    ready. Queue the watch, and wake the epoll's waiters only if the
    watch's own mask is now met; a change that only another mask would
    see (a drained peer buffer under an EPOLLIN-only watch) wakes
-   nobody. *)
-let notify_watch w =
+   nobody. A met watch makes its epoll readable, so the epolls watching
+   that one are notified in turn. *)
+let rec notify_watch w =
   queue_watch w;
-  if watch_events w <> 0 then Cond.broadcast w.w_ep.e_cond
+  if watch_events w <> 0 then begin
+    Cond.broadcast w.w_ep.e_cond;
+    List.iter notify_watch w.w_ep.e_watchers
+  end
 
 let notify_watches ws = List.iter notify_watch ws
 
@@ -813,6 +816,7 @@ let do_epoll_create k proc _args =
       e_cond = Cond.create "epoll";
       e_ready = [||];
       e_nready = 0;
+      e_watchers = [];
     }
   in
   let o = new_ofile k (K_epoll e) in
@@ -824,7 +828,8 @@ let add_watcher w =
   | K_sock ep -> ep.ep_watchers <- w :: ep.ep_watchers
   | K_pipe_r p | K_pipe_w p -> p.p_watchers <- w :: p.p_watchers
   | K_listen l -> l.l_watchers <- w :: l.l_watchers
-  | K_file _ | K_epoll _ -> ()
+  | K_epoll e -> e.e_watchers <- w :: e.e_watchers
+  | K_file _ -> ()
 
 let remove_watcher w =
   let not_this x = x != w in
@@ -832,7 +837,8 @@ let remove_watcher w =
   | K_sock ep -> ep.ep_watchers <- List.filter not_this ep.ep_watchers
   | K_pipe_r p | K_pipe_w p -> p.p_watchers <- List.filter not_this p.p_watchers
   | K_listen l -> l.l_watchers <- List.filter not_this l.l_watchers
-  | K_file _ | K_epoll _ -> ()
+  | K_epoll e -> e.e_watchers <- List.filter not_this e.e_watchers
+  | K_file _ -> ()
 
 let do_epoll_ctl _k proc args =
   let epfd = Args.int_arg args 0 in

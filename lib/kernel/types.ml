@@ -24,6 +24,7 @@ type epoll = {
      still holds a watch until the list grows over it again. *)
   mutable e_ready : watch array;
   mutable e_nready : int;
+  mutable e_watchers : watch list; (* watches of this epoll in others *)
 }
 
 and watch = {

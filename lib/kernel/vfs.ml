@@ -33,6 +33,8 @@ let lookup k ~cwd path =
   in
   walk k.root (normalize ~cwd path)
 
+(* Resolve all but the last component to a directory table, returning the
+   final name; used by create/unlink/mkdir/rename. *)
 let lookup_parent k ~cwd path =
   match List.rev (normalize ~cwd path) with
   | [] -> Error Errno.EINVAL

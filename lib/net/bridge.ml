@@ -395,8 +395,6 @@ let detached t = t.detached
 
 let stalled_since t = if t.in_flight = 0 then None else Some t.stall_anchor
 
-let link_partitioned t = Link.partitioned t.link
-
 type stats = {
   batches : int;
   events_forwarded : int;

@@ -96,8 +96,6 @@ val stalled_since : t -> int64 option
     window since [t0] — the watchdog's link-degradation signal. [None]
     when nothing is outstanding or acks are flowing. *)
 
-val link_partitioned : t -> bool
-
 type stats = {
   batches : int;
   events_forwarded : int;

@@ -2,13 +2,6 @@ module E = Varan_sim.Engine
 
 type fault = Partition of int | Delay of int | Drop | Duplicate | Reorder
 
-let fault_name = function
-  | Partition _ -> "partition"
-  | Delay _ -> "delay"
-  | Drop -> "drop"
-  | Duplicate -> "duplicate"
-  | Reorder -> "reorder"
-
 (* One direction of travel: an in-order arrival horizon, the delivered
    frames, and at most one frame held back by a pending Reorder. *)
 type 'a dir = {
@@ -173,8 +166,6 @@ let rec recv t ~dir =
   | None ->
     E.Cond.wait d.arrived;
     recv t ~dir
-
-let try_recv t ~dir = Queue.take_opt t.dirs.(dir).inbox
 
 type stats = {
   frames_sent : int;

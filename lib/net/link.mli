@@ -29,8 +29,6 @@
 
 type fault = Partition of int | Delay of int | Drop | Duplicate | Reorder
 
-val fault_name : fault -> string
-
 type 'a t
 
 val create :
@@ -51,8 +49,6 @@ val send : 'a t -> dir:int -> bytes:int -> 'a -> unit
 val recv : 'a t -> dir:int -> 'a
 (** Next frame travelling in direction [dir], in arrival order; blocks
     until one arrives. Task context. *)
-
-val try_recv : 'a t -> dir:int -> 'a option
 
 val partitioned : 'a t -> bool
 (** Is the link inside a partition window right now? *)

@@ -5,6 +5,7 @@ let per_syscall_overhead (c : Cost.t) =
   (2 * c.Cost.ptrace_stop) + c.Cost.ptrace_getregs + c.Cost.ptrace_setregs
   + c.Cost.lockstep_rendezvous
 
+(* Word-by-word user-memory copy through PTRACE_PEEKDATA/POKEDATA. *)
 let copy_cost (c : Cost.t) ~bytes =
   Cost.copy_cycles ~rate_c100:c.Cost.ptrace_copy_per_byte_c100 bytes
 

@@ -13,11 +13,6 @@ val per_syscall_overhead : Varan_cycles.Cost.t -> int
 (** Fixed per-syscall, per-variant cost: two stops, register read/write,
     centralised monitor dispatch. *)
 
-val copy_cost : Varan_cycles.Cost.t -> bytes:int -> int
-(** Word-by-word user-memory copy through PTRACE_PEEKDATA/POKEDATA (or
-    process_vm_readv on newer kernels — still far slower than a shared
-    mapping). *)
-
 val arg_copy_cost : Varan_cycles.Cost.t -> Varan_syscall.Args.t -> int
 (** Copy-in cost for a call's by-reference arguments. *)
 

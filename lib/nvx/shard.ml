@@ -36,6 +36,8 @@ let scope_of_shard i = Printf.sprintf "shard%d" i
    siblings — that is the rebalancing the lifecycle isolation buys. *)
 let shard_healthy sh = Session.degraded sh.sh_session = None
 
+(* Degraded sessions are marked down in the router and their connections
+   drained to survivors; the ticker calls this periodically. *)
 let refresh_health t =
   Array.iter
     (fun sh ->

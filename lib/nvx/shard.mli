@@ -46,11 +46,6 @@ val healthy : t -> int -> bool
 (** Whether the shard still runs full N-version execution (its session
     has not degraded to native leader-only). *)
 
-val refresh_health : t -> unit
-(** Force a health sync (the ticker does this periodically): degraded
-    sessions are marked down in the router and their connections drained
-    to survivors. *)
-
 val degraded : t -> (int * string) list
 (** Shards whose sessions degraded, with reasons. *)
 

@@ -106,16 +106,6 @@ let subscribe t =
      valid lower bound. *)
   c
 
-let add_consumer t = (subscribe t).cid
-
-let handle t cid =
-  if cid < 0 || cid >= Array.length t.registry then
-    invalid_arg (Printf.sprintf "Ring %s: no consumer %d" t.rname cid)
-  else
-    match t.registry.(cid) with
-    | Some c when c.active -> c
-    | _ -> invalid_arg (Printf.sprintf "Ring %s: no consumer %d" t.rname cid)
-
 let consumer_cid c = c.cid
 
 let unsubscribe c =
@@ -127,10 +117,6 @@ let unsubscribe c =
     (* The departed consumer may have been the one holding the ring full. *)
     Cond.broadcast_if_waiting t.not_full
   end
-
-let remove_consumer t cid =
-  if cid >= 0 && cid < Array.length t.registry then
-    match t.registry.(cid) with Some c -> unsubscribe c | None -> ()
 
 let active_consumers t = t.nactive
 
@@ -312,27 +298,24 @@ let try_consume_h c =
   end
   else Some (consume_now t c)
 
-let consume_batch_h c ~max =
-  if max < 1 then invalid_arg "Ring.consume_batch: max must be positive";
-  let t = c.c_ring in
-  wait_not_empty t c;
-  (* Drain the run with one gate check and one wakeup at the end. *)
+(* Drain up to [max] published events with one gate check and one wakeup
+   at the end. *)
+let drain t c ~max =
   let was_gating = c.cursor = t.gate in
   let run = min max (t.head - c.cursor) in
   let out = List.init run (fun _ -> consume_slot t c) in
   wake_after_consume t ~was_gating;
   out
 
+let consume_batch_h c ~max =
+  if max < 1 then invalid_arg "Ring.consume_batch_h: max must be positive";
+  let t = c.c_ring in
+  wait_not_empty t c;
+  drain t c ~max
+
 let try_consume_batch_h c ~max =
   let t = c.c_ring in
-  if c.cursor >= t.head then []
-  else begin
-    let was_gating = c.cursor = t.gate in
-    let run = min max (t.head - c.cursor) in
-    let out = List.init run (fun _ -> consume_slot t c) in
-    wake_after_consume t ~was_gating;
-    out
-  end
+  if c.cursor >= t.head then [] else drain t c ~max
 
 let peek_h c =
   let t = c.c_ring in
@@ -354,16 +337,6 @@ let unread_h c =
         | None -> acc)
   in
   go c.cursor []
-
-(* cid-keyed compatibility layer: one O(1) registry lookup per call. Hot
-   loops should resolve a handle once instead. *)
-let consume t cid = consume_h (handle t cid)
-let try_consume t cid = try_consume_h (handle t cid)
-let consume_batch t cid ~max = consume_batch_h (handle t cid) ~max
-let peek t cid = peek_h (handle t cid)
-let lag t cid = lag_h (handle t cid)
-let cursor t cid = cursor_h (handle t cid)
-let unread t cid = unread_h (handle t cid)
 
 let published t = t.head
 

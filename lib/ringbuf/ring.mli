@@ -12,10 +12,10 @@
     (the paper's in-memory log is fixed size), so the ring also reports
     each consumer's {e lag}, used by the live-sanitization experiment.
 
-    {b Hot path.} Consumers live in an array keyed by cid (O(1) lookup,
-    or zero lookups via {!type:consumer} handles). The producer gates on a
-    cached minimum-cursor sequence that is refreshed only when the cache
-    says the ring is full; wakeups are taken only when someone is parked
+    {b Hot path.} Each reader holds its {!type:consumer} handle, so no
+    operation looks a consumer up. The producer gates on a cached
+    minimum-cursor sequence that is refreshed only when the cache says
+    the ring is full; wakeups are taken only when someone is parked
     ({!Varan_sim.Engine.Cond.broadcast_if_waiting}); and the batch APIs
     claim or drain runs of slots with one gate check and one wakeup per
     run. See DESIGN.md §Hot path. *)
@@ -23,10 +23,9 @@
 type 'a t
 
 type 'a consumer
-(** A resolved consumer handle: the cid lookup done once. All [_h]
-    operations below are the cid-keyed ones minus the registry lookup.
-    Using a handle after {!unsubscribe}/{!remove_consumer} is a
-    programming error (consumes would assert on reclaimed slots). *)
+(** A consumer handle, held by the reader that owns the cursor. Using a
+    handle after {!unsubscribe} is a programming error (consumes would
+    assert on reclaimed slots). *)
 
 val create : ?size:int -> string -> 'a t
 (** [size] defaults to 256 events, the prototype's default. *)
@@ -34,25 +33,16 @@ val create : ?size:int -> string -> 'a t
 val size : 'a t -> int
 val name : 'a t -> string
 
-val add_consumer : 'a t -> int
-(** Register a consumer starting at the current head (it will only see
-    events published after this call). Returns its consumer id. *)
-
 val subscribe : 'a t -> 'a consumer
-(** Like {!add_consumer} but returns the handle directly. *)
-
-val handle : 'a t -> int -> 'a consumer
-(** Resolve a cid to its handle. @raise Invalid_argument if no active
-    consumer has this cid. *)
+(** Register a consumer starting at the current head (it will only see
+    events published after this call). *)
 
 val consumer_cid : 'a consumer -> int
-
-val remove_consumer : 'a t -> int -> unit
-(** Unsubscribe (e.g. a crashed follower, §5.1): its cursor no longer
-    holds back the producer. Unknown/already-removed cids are ignored. *)
+(** The consumer's id, as reported to taps and the stall hook. *)
 
 val unsubscribe : 'a consumer -> unit
-(** Handle-keyed {!remove_consumer}; idempotent. *)
+(** Unsubscribe (e.g. a crashed follower, §5.1): its cursor no longer
+    holds back the producer. Idempotent. *)
 
 val active_consumers : 'a t -> int
 
@@ -78,48 +68,33 @@ val publish_batch : 'a t -> 'a array -> unit
     once per run (not per event); taps still fire per event, in order.
     Equivalent to [Array.iter (publish t) vs] for every observer. *)
 
-val consume : 'a t -> int -> 'a
-(** [consume ring cid] returns the next unread event for consumer [cid],
-    blocking while none is available. *)
-
-val try_consume : 'a t -> int -> 'a option
-
-val consume_batch : 'a t -> int -> max:int -> 'a list
-(** [consume_batch ring cid ~max] blocks until at least one event is
-    available, then drains up to [max] already-published events with one
-    gate check and one producer wakeup for the whole run, oldest first.
-    Equivalent to repeated {!consume} for every observer. *)
-
-val peek : 'a t -> int -> 'a option
-(** Next unread event without advancing. *)
-
-val lag : 'a t -> int -> int
-(** Events published but not yet read by this consumer. *)
-
-val cursor : 'a t -> int -> int
-(** The next sequence number consumer [cid] will read. *)
-
-val unread : 'a t -> int -> 'a list
-(** Events published but not yet read by this consumer, oldest first —
-    what the failover path must account for (e.g. releasing payload
-    references) when a crashed consumer is removed. *)
-
-(** {1 Handle-keyed operations}
-
-    Identical semantics to the cid-keyed versions above, minus the
-    per-call registry lookup — for tight replay/pump loops. *)
-
 val consume_h : 'a consumer -> 'a
+(** The next unread event, blocking while none is available. *)
+
 val try_consume_h : 'a consumer -> 'a option
+
 val consume_batch_h : 'a consumer -> max:int -> 'a list
+(** Block until at least one event is available, then drain up to [max]
+    already-published events with one gate check and one producer wakeup
+    for the whole run, oldest first. Equivalent to repeated {!consume_h}
+    for every observer. *)
 
 val try_consume_batch_h : 'a consumer -> max:int -> 'a list
 (** Non-blocking batch drain; [[]] when nothing is available. *)
 
 val peek_h : 'a consumer -> 'a option
+(** Next unread event without advancing. *)
+
 val lag_h : 'a consumer -> int
+(** Events published but not yet read by this consumer. *)
+
 val cursor_h : 'a consumer -> int
+(** The next sequence number this consumer will read. *)
+
 val unread_h : 'a consumer -> 'a list
+(** Events published but not yet read by this consumer, oldest first —
+    what the failover path must account for (e.g. releasing payload
+    references) when a crashed consumer is removed. *)
 
 val published : 'a t -> int
 (** Total events ever published. *)
@@ -174,16 +149,12 @@ val set_tap : 'a t -> 'a tap option -> unit
 
     Who is the producer actually waiting for? The follower-lifecycle
     watchdog needs to prove a quarantined consumer can never again hold
-    the leader's publish path, so the ring exposes the gating set and a
-    hook that fires on every producer park. *)
-
-val gating_cids : 'a t -> int list
-(** Cids of active consumers whose cursor sits on the gating sequence
-    while the ring is full — the consumers the producer would block on
-    right now. [[]] when the ring has space. Recomputes the cached gate
-    (exact, not the producer's conservative cache). *)
+    the leader's publish path, so the ring exposes a hook that fires on
+    every producer park. *)
 
 val set_stall_hook : 'a t -> (int list -> unit) option -> unit
 (** Install a callback invoked each time a publisher parks on a full
-    ring, with {!gating_cids} at that instant. Like taps, the callback
-    runs synchronously and must not block or perform engine effects. *)
+    ring, with the cids of the active consumers whose cursor sits on the
+    gating sequence at that instant — the consumers the producer is
+    blocked on. Like taps, the callback runs synchronously and must not
+    block or perform engine effects. *)

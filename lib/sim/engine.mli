@@ -41,8 +41,9 @@ val spawn : t -> ?name:string -> (unit -> unit) -> task_id
 val run : ?cycle_budget:int64 -> t -> unit
 (** Run until every task has finished. @raise Deadlock if tasks remain
     blocked with nothing runnable. @raise Budget_exceeded if
-    [cycle_budget] is given and virtual time passes it. Uncaught task
-    exceptions propagate out of [run] after being recorded. *)
+    [cycle_budget] is given and virtual time passes it. An exception
+    that escapes a task ends that task and is recorded in {!failures};
+    [run] does not re-raise it. *)
 
 val run_until_quiescent : ?cycle_budget:int64 -> t -> unit
 (** Like {!run} but treats remaining blocked tasks as acceptable (they are

@@ -34,7 +34,6 @@ val ok_out : int -> Bytes.t -> result
 val err : Errno.t -> result
 (** Failure result: [ret] is the negated errno. *)
 
-val is_error : result -> bool
 val errno_of : result -> Errno.t option
 
 val int_arg : t -> int -> int
@@ -48,9 +47,6 @@ val buf_out_arg : t -> int -> int
 val payload_size : t -> int
 (** Total bytes of by-reference input payload ([Str] and [Buf_in]); used by
     the cost model for copy charges. *)
-
-val out_size : t -> int
-(** Total bytes of requested output buffer space. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_result : Format.formatter -> result -> unit

@@ -131,10 +131,6 @@ type futex_case = {
   f_plan : Varan_fault.Plan.t;  (** follower-only crashes *)
 }
 
-val gen_futex_case : int -> futex_case
-(** Derive a contended-futex case deterministically from the seed;
-    thread counts are drawn from [{4, 8, 16, 64}]. *)
-
 val describe_futex_case : futex_case -> string
 
 type futex_outcome = {
@@ -178,12 +174,6 @@ val gen_shard_case : int -> shard_case
 (** Derive a sharded-pool case deterministically from the seed. *)
 
 val describe_shard_case : shard_case -> string
-
-val shard_program : shard_case -> int -> Programs.op list
-(** Shard [s]'s program: an independent op stream salted with the shard
-    id, with entropy ops sanitized away (pooled shards share one kernel,
-    so their entropy draws would interleave differently than each
-    shard's solo native run). *)
 
 type shard_outcome = {
   so_natives : string array;

@@ -40,6 +40,3 @@ let recv_msg api fd =
       | None -> Error Varan_syscall.Errno.EIO)
 
 let send_str api fd s = send_msg api fd (Bytes.of_string s)
-
-let recv_str api fd =
-  Result.map (Option.map Bytes.to_string) (recv_msg api fd)

@@ -14,5 +14,3 @@ val recv_msg : Api.t -> int -> (Bytes.t option, Varan_syscall.Errno.t) result
 (** [Ok None] on clean EOF before a new frame starts. *)
 
 val send_str : Api.t -> int -> string -> (unit, Varan_syscall.Errno.t) result
-
-val recv_str : Api.t -> int -> (string option, Varan_syscall.Errno.t) result

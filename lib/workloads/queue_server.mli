@@ -16,5 +16,3 @@ type config = {
 val make_body : config -> unit -> unit_idx:int -> Api.t -> unit
 
 val put_cmd : Bytes.t -> Bytes.t
-val reserve_cmd : Bytes.t
-val delete_cmd : int -> Bytes.t

@@ -44,6 +44,8 @@ let prologue rev api =
     ignore (ok_exn "fcntl" (Api.fcntl api fd Flags.f_setfd Flags.fd_cloexec));
     ignore (Api.close api fd)
 
+(* The BPF filter permitting this revision's divergences from its
+   predecessor, if any. *)
 let lighttpd_rules_for = function
   | R2436 ->
     (* The paper's Listing 1 divergence: getuid/getgid insertions while

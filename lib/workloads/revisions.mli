@@ -24,10 +24,6 @@ val lighttpd_variant :
     with the rewrite rules needed when it runs as a follower of the
     paired older revision already attached. *)
 
-val lighttpd_rules_for : lighttpd_rev -> Varan_bpf.Insn.t array option
-(** The BPF filter permitting this revision's divergences from its
-    predecessor, if any. *)
-
 val redis_revision :
   buggy:bool -> name:string -> port:int -> expected_conns:int ->
   Varan_nvx.Variant.t

@@ -23,6 +23,13 @@ let ok_bytes = function
   | Ok b -> b
   | Error e -> Alcotest.failf "unexpected errno %s" (Errno.name e)
 
+(* Run to completion, or with [~quiescent] until nothing is runnable. The
+   engine only records an exception raised in a task, so a check that
+   failed inside a task is re-raised here to fail the test. *)
+let run_checked ?(quiescent = false) eng =
+  if quiescent then E.run_until_quiescent eng else E.run eng;
+  match E.failures eng with [] -> () | (_, e) :: _ -> raise e
+
 (* Run [body] as a single simulated process and return its result. *)
 let in_proc ?(link_latency = 0) body =
   let eng = E.create () in
@@ -35,7 +42,7 @@ let in_proc ?(link_latency = 0) body =
         result := Some (body k api))
   in
   K.register_task k proc tid;
-  E.run eng;
+  run_checked eng;
   match !result with Some r -> r | None -> Alcotest.fail "process died"
 
 let test_dev_null () =
@@ -157,7 +164,7 @@ let test_pipe_blocking () =
            (E.spawn_here ~name:"writer" (fun () ->
                 E.consume 5_000;
                 ignore (ok_int (Api.write_str api w "ping"))))));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check string) "reader blocked then received" "ping" !got
 
 let test_socket_roundtrip () =
@@ -189,7 +196,7 @@ let test_socket_roundtrip () =
          let reply = ok_bytes (Api.recv api fd 128) in
          client_got := Bytes.to_string reply;
          ignore (ok_int (Api.close api fd))));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check string) "server received" "ping" !server_got;
   Alcotest.(check string) "client received" "pong" !client_got
 
@@ -218,7 +225,7 @@ let test_socket_eof_on_close () =
          ok_unit (Api.connect api fd 9090);
          ignore (ok_int (Api.send api fd (Bytes.of_string "bye")));
          ignore (ok_int (Api.close api fd))));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check bool) "EOF after peer close" true !eof_seen
 
 let test_connect_refused () =
@@ -244,7 +251,7 @@ let test_nonblocking_read_eagain () =
            | Error Errno.EAGAIN -> saw_eagain := true
            | Error e -> Alcotest.failf "unexpected errno %s" (Errno.name e)
            | Ok _ -> Alcotest.fail "expected EAGAIN")));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check bool) "EAGAIN on empty nonblocking pipe" true !saw_eagain
 
 let test_epoll_server_pattern () =
@@ -305,7 +312,7 @@ let test_epoll_server_pattern () =
            Alcotest.(check string) "echo" "req" (Bytes.to_string reply);
            ignore (ok_int (Api.close api fd))))
   done;
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "three requests served" 3 !served
 
 let test_futex_wait_wake () =
@@ -324,7 +331,7 @@ let test_futex_wait_wake () =
          E.consume 10_000;
          let n = Api.futex_wake api 0x1000 1 in
          Alcotest.(check int) "one waiter woken" 1 n));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check bool) "waiter resumed" true !woken
 
 let test_time_advances () =
@@ -371,7 +378,7 @@ let test_link_latency_delays_delivery () =
          ignore (ok_int (Api.send api fd (Bytes.of_string "x")));
          ignore (ok_bytes (Api.recv api fd 64));
          elapsed := Int64.sub (E.now_cycles ()) t0));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check bool)
     (Printf.sprintf "RTT at least 70k cycles (got %Ld)" !elapsed)
     true
@@ -407,7 +414,7 @@ let test_exit_group_kills_process () =
         after := true)
   in
   K.register_task k proc tid;
-  E.run eng;
+  run_checked eng;
   Alcotest.(check bool) "code after exit not reached" false !after;
   Alcotest.(check bool) "proc marked exited" false (K.proc_alive proc)
 
@@ -453,7 +460,7 @@ let test_shutdown_write_half () =
          | Error Errno.EPIPE -> ()
          | Error e -> Alcotest.failf "expected EPIPE, got %s" (Errno.name e)
          | Ok _ -> Alcotest.fail "expected EPIPE"));
-  E.run eng
+  run_checked eng
 
 let test_chdir_getcwd () =
   in_proc (fun _k api ->
@@ -485,7 +492,7 @@ let test_socketpair_bidirectional () =
                 let msg = ok_bytes (Api.recv api b 16) in
                 Alcotest.(check string) "message" "ping" (Bytes.to_string msg);
                 ignore (ok_int (Api.send api b (Bytes.of_string "pong")))))));
-  E.run eng
+  run_checked eng
 
 let test_poll_ready_and_timeout () =
   let eng = E.create () in
@@ -516,7 +523,7 @@ let test_poll_ready_and_timeout () =
          let ready = ok_int (Api.poll api [ (99, Flags.epollin) ] ~timeout_ms:0) in
          Alcotest.(check int) "bad fd reported" 1 (List.length ready)))
   |> ignore;
-  E.run eng
+  run_checked eng
 
 let test_poll_wakes_on_data () =
   let eng = E.create () in
@@ -536,7 +543,7 @@ let test_poll_wakes_on_data () =
            (E.spawn_here ~name:"writer" (fun () ->
                 E.consume 200_000;
                 ignore (ok_int (Api.send api b (Bytes.of_string "go")))))));
-  E.run eng;
+  run_checked eng;
   (* Poll re-checks on a 50k-cycle tick, so it wakes within one tick of
      the write at 200k cycles, far before the 500 ms timeout. *)
   Alcotest.(check bool)
@@ -568,7 +575,7 @@ let test_select () =
            "readable after send"
            [ (a, Flags.epollin) ]
            ready));
-  E.run eng
+  run_checked eng
 
 let test_strace () =
   in_proc (fun _k api ->
@@ -712,7 +719,7 @@ let test_every_syscall_dispatches () =
           Varan_syscall.Sysno.all)
   in
   K.register_task k proc tid;
-  E.run_until_quiescent eng
+  run_checked ~quiescent:true eng
 
 (* ------------------------------------------------------------------ *)
 (* Epoll ready lists                                                   *)
@@ -762,23 +769,22 @@ and ref_scan (e : T.epoll) maxevents =
   |> List.sort compare
   |> List.filteri (fun i _ -> i < maxevents)
 
-(* Run to completion; a check that failed inside a task fails the test. *)
-let run_checked eng =
-  E.run eng;
-  match E.failures eng with [] -> () | (_, e) :: _ -> raise e
-
 let epoll_of proc fd =
   match (Hashtbl.find proc.T.fds fd).T.fde_ofile.T.kind with
   | T.K_epoll e -> e
   | _ -> Alcotest.failf "fd %d is not an epoll" fd
 
-(* One random program over sockets, pipes, listeners, a regular file and
-   a nested epoll, all non-blocking, in one task: ADD/MOD/DEL with
-   random masks, reads and writes (some large enough to fill a pipe),
-   close, shutdown, FIN, connect and listen after ADD, and link latency
-   on every third seed. Every non-blocking epoll_wait, with small and
-   large [maxevents], must return what the full scan finds. Returns the
-   number of waits checked. *)
+(* One random program over non-blocking sockets, pipes, listeners, a
+   regular file and a nested epoll, in one task: ADD/MOD/DEL with random
+   masks, reads and writes (some large enough to fill a pipe), close,
+   shutdown, FIN, connect and listen after ADD, and link latency on
+   every third seed. Every epoll_wait, with small and large
+   [maxevents], must return what the full scan finds. Most waits do not
+   block; a blocking one waits on the outer epoll after the inner one
+   starts watching a fresh pipe that a second task writes, so it parks
+   whenever nothing else is ready and only the nested notification can
+   wake it. Returns the number of waits checked and how many of them
+   parked. *)
 let epoll_differential_case seed =
   let rng = Random.State.make [| 0xE9011; seed |] in
   let int n = Random.State.int rng n in
@@ -786,7 +792,7 @@ let epoll_differential_case seed =
   let eng = E.create () in
   let k = K.create ~link_latency eng in
   let proc = K.new_proc k "epoll-diff" in
-  let checks = ref 0 in
+  let checks = ref 0 and parked = ref 0 in
   let tid =
     E.spawn eng (fun () ->
         let api = Api.direct k proc in
@@ -824,10 +830,10 @@ let epoll_differential_case seed =
           | None -> ()
         in
         let epoll () = if int 3 = 0 then inner else outer in
-        let check ep =
+        let check ?(timeout_ms = 0) ep =
           let maxevents = if int 2 = 0 then 64 else 1 + int 3 in
           let got =
-            match Api.epoll_wait api ep ~max_events:maxevents ~timeout_ms:0 with
+            match Api.epoll_wait api ep ~max_events:maxevents ~timeout_ms with
             | Ok l -> l
             | Error e -> Alcotest.failf "epoll_wait: %s" (Errno.name e)
           in
@@ -910,6 +916,33 @@ let epoll_differential_case seed =
           | 13 when !socks <> [] ->
             ignore (Api.shutdown api (pick !socks) Flags.shut_wr)
           | 14 -> E.consume (int 120)
+          | 15 ->
+            let r, w = Result.get_ok (Api.pipe api) in
+            fresh r;
+            fresh w;
+            (* A watch outlives its fd's close here, so a reused fd
+               number still has one: replace it. *)
+            let watch ep fd =
+              ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_del fd 0);
+              ok_unit
+                (Api.epoll_ctl api ep Flags.epoll_ctl_add fd Flags.epollin)
+            in
+            watch inner r;
+            watch outer inner;
+            let written = ref false and delay = 2_000 + int 2_000 in
+            ignore
+              (E.spawn eng ~name:"writer" (fun () ->
+                   let api = Api.direct k proc in
+                   E.consume delay;
+                   if E.Cond.waiters (epoll_of proc outer).T.e_cond > 0 then
+                     incr parked;
+                   ignore (ok_int (Api.write api w (Bytes.of_string "x")));
+                   written := true));
+            check ~timeout_ms:(-1) outer;
+            (* The writer is done before the program goes on. *)
+            while not !written do
+              E.consume 50
+            done
           | _ -> ());
           if int 2 = 0 then check (epoll ())
         done;
@@ -919,14 +952,18 @@ let epoll_differential_case seed =
   in
   K.register_task k proc tid;
   run_checked eng;
-  !checks
+  (!checks, !parked)
 
 let test_epoll_ready_list_differential () =
-  let checks = ref 0 in
+  let checks = ref 0 and parked = ref 0 in
   for seed = 0 to 199 do
-    checks := !checks + epoll_differential_case seed
+    let c, p = epoll_differential_case seed in
+    checks := !checks + c;
+    parked := !parked + p
   done;
-  Alcotest.(check bool) "thousands of waits checked" true (!checks > 4_000)
+  Alcotest.(check bool) "thousands of waits checked" true (!checks > 4_000);
+  Alcotest.(check bool) "blocking waits on the nested epoll parked" true
+    (!parked > 50)
 
 (* A client reading its reply drains the server's send window, which
    notifies the server's watch on the connection; the watch asks only
@@ -1018,6 +1055,38 @@ let test_epoll_connect_after_add_wakes () =
   run_checked eng;
   Alcotest.(check (list (pair int int)))
     "woken writable" [ (!sock, Flags.epollout) ] !result
+
+(* An outer epoll whose only watch is an inner epoll, which watches a
+   pipe: a write to the pipe makes the inner epoll readable, and the
+   waiter blocked on the outer one must wake then. *)
+let test_epoll_nested_wakes () =
+  let eng = E.create () in
+  let k = K.create eng in
+  let proc = K.new_proc k "nested" in
+  let result = ref [] and inner = ref (-1) and outer = ref (-1) in
+  let wfd = ref (-1) in
+  ignore
+    (E.spawn eng ~name:"waiter" (fun () ->
+         let api = Api.direct k proc in
+         let r, w = Result.get_ok (Api.pipe api) in
+         wfd := w;
+         inner := ok_int (Api.epoll_create api);
+         outer := ok_int (Api.epoll_create api);
+         ok_unit (Api.epoll_ctl api !inner Flags.epoll_ctl_add r Flags.epollin);
+         ok_unit
+           (Api.epoll_ctl api !outer Flags.epoll_ctl_add !inner Flags.epollin);
+         result :=
+           ok_int (Api.epoll_wait api !outer ~max_events:8 ~timeout_ms:(-1))));
+  ignore
+    (E.spawn eng ~name:"writer" (fun () ->
+         let api = Api.direct k proc in
+         E.consume 50_000;
+         Alcotest.(check int) "waiter parked on the outer epoll" 1
+           (E.Cond.waiters (epoll_of proc !outer).T.e_cond);
+         ignore (ok_int (Api.write api !wfd (Bytes.of_string "x")))));
+  run_checked eng;
+  Alcotest.(check (list (pair int int)))
+    "woken by the inner epoll" [ (!inner, Flags.epollin) ] !result
 
 (* epoll_wait encodes what it collected before it charges for the copy:
    that charge may park the waiter, and threads sharing the epoll may
@@ -1147,6 +1216,8 @@ let () =
             test_epoll_reply_read_wakes_nobody;
           Alcotest.test_case "epoll: connect after ADD wakes" `Quick
             test_epoll_connect_after_add_wakes;
+          Alcotest.test_case "epoll: nested epoll wakes its waiter" `Quick
+            test_epoll_nested_wakes;
           Alcotest.test_case "epoll: DEL in the copy charge" `Quick
             test_epoll_shared_del_during_charge;
           Alcotest.test_case "epoll: re-collect in the copy charge" `Quick

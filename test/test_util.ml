@@ -62,9 +62,10 @@ let test_stats_basics () =
   Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean xs);
   Alcotest.(check (float 1e-9)) "median even" 2.5 (Stats.median xs);
   Alcotest.(check (float 1e-9)) "median odd" 2.0 (Stats.median [ 1.0; 2.0; 7.0 ]);
-  let lo, hi = Stats.min_max xs in
-  Alcotest.(check (float 1e-9)) "min" 1.0 lo;
-  Alcotest.(check (float 1e-9)) "max" 4.0 hi
+  let s = Stats.summarize_array (Array.of_list xs) in
+  Alcotest.(check (float 1e-9)) "min" 1.0 s.Stats.min;
+  Alcotest.(check (float 1e-9)) "max" 4.0 s.Stats.max;
+  Alcotest.(check (float 1e-9)) "population stddev" (sqrt 1.25) s.Stats.stddev
 
 let test_stats_percentile () =
   let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
@@ -78,7 +79,7 @@ let prop_stats_summary_consistent =
     QCheck.(list_of_size Gen.(int_range 1 50) (float_bound_exclusive 1000.0))
     (fun xs ->
       QCheck.assume (xs <> []);
-      let s = Stats.summarize xs in
+      let s = Stats.summarize_array (Array.of_list xs) in
       s.Stats.min <= s.Stats.median
       && s.Stats.median <= s.Stats.max
       && s.Stats.min <= s.Stats.mean +. 1e-9
@@ -91,32 +92,25 @@ let test_stats_tail_percentiles () =
   (* On 1..10000 the tail order is strict and p999 sits in the last
      handful of samples — the open-loop benches live on this field. *)
   let xs = List.init 10_000 (fun i -> float_of_int (i + 1)) in
-  let s = Stats.summarize xs in
+  let s = Stats.summarize_array (Array.of_list xs) in
   Alcotest.(check bool) "p95 < p99 < p999 < max" true
     (s.Stats.p95 < s.Stats.p99 && s.Stats.p99 < s.Stats.p999
    && s.Stats.p999 <= s.Stats.max);
   Alcotest.(check bool) "p999 in the top 0.2%" true (s.Stats.p999 >= 9_980.0);
-  (* List and array summaries agree; the array input is left untouched. *)
-  let a = Array.of_list xs in
-  let shuffled = Array.copy a in
+  (* The list percentile and the array summary agree on shuffled input,
+     and the array input is left untouched. *)
+  let shuffled = Array.of_list xs in
   let tmp = shuffled.(0) in
   shuffled.(0) <- shuffled.(9999);
   shuffled.(9999) <- tmp;
   let sa = Stats.summarize_array shuffled in
-  Alcotest.(check (float 1e-9)) "array p999 agrees" s.Stats.p999 sa.Stats.p999;
-  Alcotest.(check (float 1e-9)) "shuffled input untouched" 10_000.0 shuffled.(0);
-  (* The rendered summary advertises the new field. *)
-  let contains ~sub s =
-    let n = String.length sub and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "summary prints p999" true
-    (contains ~sub:"p999=" (Stats.summary_to_string s))
+  Alcotest.(check (float 1e-9)) "array p999 agrees"
+    (Stats.percentile 99.9 xs) sa.Stats.p999;
+  Alcotest.(check (float 1e-9)) "shuffled input untouched" 10_000.0 shuffled.(0)
 
 let test_stats_tiny_samples () =
   (* n=1: every statistic collapses to the sample. *)
-  let s1 = Stats.summarize [ 42.0 ] in
+  let s1 = Stats.summarize_array [| 42.0 |] in
   Alcotest.(check int) "n=1 n" 1 s1.Stats.n;
   Alcotest.(check (float 1e-9)) "n=1 mean" 42.0 s1.Stats.mean;
   Alcotest.(check (float 1e-9)) "n=1 median" 42.0 s1.Stats.median;
@@ -127,7 +121,7 @@ let test_stats_tiny_samples () =
     (Stats.percentile 50.0 [ 42.0 ]);
   (* n=2: median averages, the tail percentiles sit on the larger
      sample (nearest-rank never interpolates past the data). *)
-  let s2 = Stats.summarize [ 10.0; 20.0 ] in
+  let s2 = Stats.summarize_array [| 10.0; 20.0 |] in
   Alcotest.(check (float 1e-9)) "n=2 median" 15.0 s2.Stats.median;
   Alcotest.(check (float 1e-9)) "n=2 p95" 20.0 s2.Stats.p95;
   Alcotest.(check (float 1e-9)) "n=2 p999" 20.0 s2.Stats.p999;
@@ -137,7 +131,7 @@ let test_stats_tiny_samples () =
   Alcotest.(check (float 1e-9)) "tiny p999 = max" 3.0
     (Stats.percentile 99.9 xs);
   Alcotest.(check (float 1e-9)) "tiny summarize p999 = max" 3.0
-    (Stats.summarize xs).Stats.p999
+    (Stats.summarize_array (Array.of_list xs)).Stats.p999
 
 let test_summarize_array_non_mutation () =
   (* summarize_array sorts a copy: the caller's array must come back
@@ -215,62 +209,20 @@ let test_floatbuf_capacity_doubling () =
     [| 0.0; 10.0; 20.0; 30.0; 40.0 |]
     (Floatbuf.to_array b)
 
-(* --- histograms -------------------------------------------------------- *)
-
-let test_hist_buckets_and_percentiles () =
-  let h = Stats.make_hist "t.lat" in
-  Alcotest.(check int) "empty count" 0 (Stats.hist_count h);
-  Alcotest.(check bool) "empty summary" true (Stats.hist_summary h = None);
-  (* Bucket geometry: sub-1 values underflow to bucket 0; bounds are
-     half-open and tile the axis. *)
-  Alcotest.(check int) "underflow bucket" 0 (Stats.bucket_of_value 0.25);
-  let b = Stats.bucket_of_value 100.0 in
-  let lo, hi = Stats.bucket_bounds b in
-  Alcotest.(check bool) "value inside its bucket bounds" true
-    (lo <= 100.0 && 100.0 < hi);
-  Alcotest.(check bool) "bucket index in range" true
-    (b >= 0 && b < Stats.hist_buckets);
-  (* Record a known spread; log-bucket estimates are coarse (~26%), so
-     assert relative error rather than equality. *)
-  for i = 1 to 1000 do
-    Stats.hist_record h (float_of_int i)
-  done;
-  Alcotest.(check int) "count" 1000 (Stats.hist_count h);
-  let p50 = Stats.hist_percentile h 50.0 in
-  Alcotest.(check bool) "p50 within bucket resolution" true
-    (p50 > 350.0 && p50 < 700.0);
-  let p999 = Stats.hist_percentile h 99.9 in
-  Alcotest.(check bool) "p999 clamped to observed max" true (p999 <= 1000.0);
-  (match Stats.hist_summary h with
-  | None -> Alcotest.fail "summary empty after 1000 records"
-  | Some s ->
-    Alcotest.(check int) "summary n" 1000 s.Stats.n;
-    Alcotest.(check (float 1e-6)) "exact mean survives bucketing" 500.5
-      s.Stats.mean;
-    Alcotest.(check (float 1e-9)) "exact min" 1.0 s.Stats.min;
-    Alcotest.(check (float 1e-9)) "exact max" 1000.0 s.Stats.max);
-  Stats.hist_clear h;
-  Alcotest.(check int) "clear zeroes count" 0 (Stats.hist_count h)
+(* --- registry ---------------------------------------------------------- *)
 
 let test_registry_hygiene () =
   Stats.clear_registry ();
   let c0 = Stats.scoped_counter ~scope:"caseA" "events" in
   let _c1 = Stats.scoped_counter ~scope:"caseB" "events" in
-  let _h0 = Stats.hist ~scope:"caseA" "lat" in
-  let _h1 = Stats.hist ~scope:"caseB" "lat" in
   Stats.incr_counter c0;
   Alcotest.(check int) "two counters registered" 2
     (List.length (Stats.counters ()));
-  Alcotest.(check int) "two hists registered" 2
-    (List.length (Stats.hists ()));
   (* remove_scope drops exactly the prefix-matched registrations. *)
   Stats.remove_scope "caseA";
   Alcotest.(check (list string)) "caseA gone, caseB stays"
     [ "caseB.events" ]
     (List.map fst (Stats.counters ()));
-  Alcotest.(check (list string)) "caseA hist gone"
-    [ "caseB.lat" ]
-    (List.map fst (Stats.hists ()));
   (* An existing handle still works after its registration is dropped —
      it is just no longer visible to dump_json. *)
   Stats.incr_counter c0;
@@ -282,16 +234,13 @@ let test_registry_hygiene () =
     (Stats.counter_value c0');
   Stats.clear_registry ();
   Alcotest.(check int) "clear_registry empties counters" 0
-    (List.length (Stats.counters ()));
-  Alcotest.(check int) "clear_registry empties hists" 0
-    (List.length (Stats.hists ()))
+    (List.length (Stats.counters ()))
 
 let test_dump_json_well_formed () =
   Stats.clear_registry ();
   let c = Stats.counter "a.count" in
   Stats.add_counter c 3;
-  let h = Stats.hist "a.lat\"quoted\"" in
-  Stats.hist_record h 12.5;
+  Stats.incr_counter (Stats.counter "a.lat\"quoted\"");
   let s = Stats.dump_json () in
   (* Must parse as JSON — handed to CI and external tools verbatim. We
      have no JSON parser in-tree; check the shape instead: balanced
@@ -318,7 +267,7 @@ let test_dump_json_well_formed () =
     go 0
   in
   Alcotest.(check bool) "counter present" true (contains ~sub:"a.count" s);
-  Alcotest.(check bool) "quote in hist name escaped" true
+  Alcotest.(check bool) "quote in counter name escaped" true
     (contains ~sub:"a.lat\\\"quoted\\\"" s);
   Stats.clear_registry ()
 
@@ -566,11 +515,6 @@ let () =
           Alcotest.test_case "floatbuf capacity doubling" `Quick
             test_floatbuf_capacity_doubling;
           QCheck_alcotest.to_alcotest prop_stats_summary_consistent;
-        ] );
-      ( "hist",
-        [
-          Alcotest.test_case "buckets and percentiles" `Quick
-            test_hist_buckets_and_percentiles;
           Alcotest.test_case "registry hygiene" `Quick test_registry_hygiene;
           Alcotest.test_case "dump_json well-formed" `Quick
             test_dump_json_well_formed;
