@@ -934,8 +934,9 @@ let serve_cmd =
       & opt (some string) None
       & info [ "stats-json" ] ~docv:"FILE"
           ~doc:
-            "Dump every registered stats counter as JSON to FILE after the \
-             run.")
+            "Write the run's counters (per-shard lifecycle and checkpoint \
+             counts, router drains, shard degradations, rewrite-cache hits \
+             and the engine's task switches) as JSON to FILE after the run.")
   in
   let run shards followers requests workers gap seed trace_out postmortem_dir
       profile stats_json =
@@ -990,7 +991,10 @@ let serve_cmd =
         (Profile.render ~total_cycles:o.Serving.o_total_task_cycles);
     (match stats_json with
     | Some path ->
-      Varan_util.Stats.dump_json_to path;
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc
+            (Varan_util.Stats.counters_json
+               (Varan_nvx.Shard.counters o.Serving.o_pool)));
       Printf.printf "stats: %s\n" path
     | None -> ());
     finish_observability ~trace_out

@@ -10,7 +10,6 @@ type segment = {
 }
 
 let rx = { r = true; w = false; x = true }
-let ro = { r = true; w = false; x = false }
 
 let check_wx name perm =
   if perm.w && perm.x then
@@ -30,6 +29,3 @@ let with_writable seg f =
   seg.data <- f seg.data;
   set_perm seg original
 
-type t = { image_name : string; segments : segment list; entry : int }
-
-let make ~name ~entry segments = { image_name = name; segments; entry }

@@ -19,7 +19,6 @@ type segment = {
 }
 
 val rx : perm
-val ro : perm
 
 val make_segment : name:string -> base:int -> perm:perm -> Bytes.t -> segment
 (** @raise Wx_violation if [perm] has both [w] and [x]. *)
@@ -31,11 +30,3 @@ val with_writable : segment -> (Bytes.t -> Bytes.t) -> unit
 (** [with_writable seg f] flips an executable segment to RW, replaces its
     data with [f data], and restores the original permission — the
     rewriter's patching envelope. *)
-
-type t = {
-  image_name : string;
-  segments : segment list;
-  entry : int;
-}
-
-val make : name:string -> entry:int -> segment list -> t

@@ -13,19 +13,15 @@
     [first_site_id] in O(sites) — no disassembly, no window collection,
     no stub emission.
 
-    The resident zygote owns the session's cache (see {!Varan_nvx.Zygote}):
-    it outlives every variant incarnation, so respawned followers and
-    additional replicas of the same image always rebase instead of
-    re-rewriting.
+    The session owns its cache (a shard pool's sessions share their
+    spawn hub's): it outlives every variant incarnation, so respawned
+    followers and additional replicas of the same image always rebase
+    instead of re-rewriting.
 
-    Hits, misses and rebases are mirrored into the process-wide
-    {!Varan_util.Stats} counters [rewrite_cache.hits] /
-    [rewrite_cache.misses] / [rewrite_cache.rebases]. *)
+    Hits, misses and rebases are the cache's own counts, read through
+    {!stats}. *)
 
 type t
-
-val version : string
-(** Rewriter-output version mixed into every key. *)
 
 val create : ?capacity:int -> unit -> t
 (** A cache holding at most [capacity] (default 64) distinct images;

@@ -53,7 +53,6 @@ val ret_skip_event : int
 (** VARAN extension: the leader's event is consumed without a follower
     counterpart (removal rule). *)
 
-val pp : Format.formatter -> t -> unit
 val pp_program : Format.formatter -> t array -> unit
 
 (** Byte offsets of the seccomp_data fields, for readable filters. *)

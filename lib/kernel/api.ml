@@ -120,8 +120,6 @@ let rename api src dst =
 let access api path =
   lift_unit (api.sys Sysno.Access [| Args.Str path; Args.Int 0 |])
 
-let fsync api fd = lift_unit (api.sys Sysno.Fsync [| Args.Int fd |])
-
 let fcntl api fd cmd arg =
   lift (api.sys Sysno.Fcntl [| Args.Int fd; Args.Int cmd; Args.Int arg |])
 

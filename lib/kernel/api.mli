@@ -61,7 +61,6 @@ val unlink : t -> string -> (unit, Errno.t) result
 val mkdir : t -> string -> (unit, Errno.t) result
 val rename : t -> string -> string -> (unit, Errno.t) result
 val access : t -> string -> (unit, Errno.t) result
-val fsync : t -> int -> (unit, Errno.t) result
 val fcntl : t -> int -> int -> int -> (int, Errno.t) result
 val dup : t -> int -> (int, Errno.t) result
 val pipe : t -> (int * int, Errno.t) result

@@ -10,7 +10,6 @@ let create ?(capacity = 1 lsl 20) () =
 
 let length q = q.len
 let is_empty q = q.len = 0
-let capacity q = q.cap
 let space q = q.cap - q.len
 
 let write q b =
@@ -60,7 +59,3 @@ let take q n ~remove =
 let read q n = take q n ~remove:true
 let peek q n = take q n ~remove:false
 
-let clear q =
-  Queue.clear q.chunks;
-  q.head_ofs <- 0;
-  q.len <- 0

@@ -11,7 +11,6 @@ val create : ?capacity:int -> unit -> t
 
 val length : t -> int
 val is_empty : t -> bool
-val capacity : t -> int
 val space : t -> int
 
 val write : t -> Bytes.t -> int
@@ -24,5 +23,3 @@ val read : t -> int -> Bytes.t
 
 val peek : t -> int -> Bytes.t
 (** Like {!read} without removing. *)
-
-val clear : t -> unit

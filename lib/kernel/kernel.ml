@@ -27,6 +27,7 @@ let create ?(cost = Cost.default) ?(link_latency = 0) ?(seed = 42) eng =
       rng = Prng.create seed;
       link_latency;
       epoch_seconds = 1_700_000_000;
+      file_watches = [];
     }
   in
   (match root with
@@ -245,24 +246,73 @@ let deliver_fin k (peer : endpoint) =
 (* Release on close                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A watch sits on the watchers list of the object it watches, which
+   notifies it; regular files never notify and share one list. *)
+let add_watcher k w =
+  match w.w_ofile.kind with
+  | K_sock ep -> ep.ep_watchers <- w :: ep.ep_watchers
+  | K_pipe_r p | K_pipe_w p -> p.p_watchers <- w :: p.p_watchers
+  | K_listen l -> l.l_watchers <- w :: l.l_watchers
+  | K_epoll e -> e.e_watchers <- w :: e.e_watchers
+  | K_file _ -> k.file_watches <- w :: k.file_watches
+
+let remove_watcher k w =
+  let not_this x = x != w in
+  match w.w_ofile.kind with
+  | K_sock ep -> ep.ep_watchers <- List.filter not_this ep.ep_watchers
+  | K_pipe_r p | K_pipe_w p -> p.p_watchers <- List.filter not_this p.p_watchers
+  | K_listen l -> l.l_watchers <- List.filter not_this l.l_watchers
+  | K_epoll e -> e.e_watchers <- List.filter not_this e.e_watchers
+  | K_file _ -> k.file_watches <- List.filter not_this k.file_watches
+
+(* Take a watch out of its epoll: out of the table, if it is still the
+   watch filed under its fd, and off the ready list. *)
+let unhook_watch w =
+  let e = w.w_ep in
+  (match Hashtbl.find_opt e.e_watches w.w_fd with
+  | Some w' when w' == w -> Hashtbl.remove e.e_watches w.w_fd
+  | _ -> ());
+  unqueue_watch w
+
+(* The last reference to [ofile] is gone: unhook its watches from every
+   epoll, as Linux does, and return the watches in [ws] on other files.
+   Every close runs this, so a list with nothing to drop is returned as
+   it is, without allocating. *)
+let rec drop_watches ofile = function
+  | [] -> []
+  | w :: rest as ws ->
+    if w.w_ofile == ofile then begin
+      unhook_watch w;
+      drop_watches ofile rest
+    end
+    else
+      let rest' = drop_watches ofile rest in
+      if rest' == rest then ws else w :: rest'
+
 let release_ofile k ofile =
   ofile.refcount <- ofile.refcount - 1;
   if ofile.refcount <= 0 then begin
     match ofile.kind with
-    | K_file _ -> ()
+    | K_file _ -> (
+      match k.file_watches with
+      | [] -> ()
+      | ws -> k.file_watches <- drop_watches ofile ws)
     | K_pipe_r p ->
+      p.p_watchers <- drop_watches ofile p.p_watchers;
       p.p_readers <- p.p_readers - 1;
       if p.p_readers = 0 then begin
         Cond.broadcast p.p_writable;
         notify_watches p.p_watchers
       end
     | K_pipe_w p ->
+      p.p_watchers <- drop_watches ofile p.p_watchers;
       p.p_writers <- p.p_writers - 1;
       if p.p_writers = 0 then begin
         Cond.broadcast p.p_readable;
         notify_watches p.p_watchers
       end
     | K_sock ep ->
+      ep.ep_watchers <- drop_watches ofile ep.ep_watchers;
       if not ep.ep_closed then begin
         ep.ep_closed <- true;
         match ep.ep_peer with
@@ -270,10 +320,20 @@ let release_ofile k ofile =
         | None -> ()
       end
     | K_listen l ->
+      l.l_watchers <- drop_watches ofile l.l_watchers;
       l.l_closed <- true;
       Hashtbl.remove k.listeners l.l_port;
       Cond.broadcast l.l_cond
-    | K_epoll _ -> ()
+    | K_epoll e ->
+      (* Other epolls' watches on this one go, and so do the watches it
+         holds, off the watchers lists of the files they watch. *)
+      e.e_watchers <- drop_watches ofile e.e_watchers;
+      Hashtbl.iter (fun _ w -> remove_watcher k w) e.e_watches;
+      Hashtbl.reset e.e_watches;
+      for i = 0 to e.e_nready - 1 do
+        e.e_ready.(i).w_queued <- false
+      done;
+      e.e_nready <- 0
   end
 
 let kill_proc k proc signo =
@@ -352,13 +412,6 @@ let restore_fds k proc snap =
     snap
 
 let fd_snapshot_count = List.length
-
-let now_ns k =
-  let cycles = Int64.to_float (E.now k.eng) in
-  let ns = cycles /. k.cost.Cost.cpu_ghz in
-  Int64.add
-    (Int64.mul (Int64.of_int k.epoch_seconds) 1_000_000_000L)
-    (Int64.of_float ns)
 
 (* Simulated-process-local time: based on the calling task's clock. *)
 let task_now_ns k =
@@ -823,24 +876,20 @@ let do_epoll_create k proc _args =
   let fd = add_fd proc o in
   grant [ (fd, o) ] (Args.ok fd)
 
-let add_watcher w =
-  match w.w_ofile.kind with
-  | K_sock ep -> ep.ep_watchers <- w :: ep.ep_watchers
-  | K_pipe_r p | K_pipe_w p -> p.p_watchers <- w :: p.p_watchers
-  | K_listen l -> l.l_watchers <- w :: l.l_watchers
-  | K_epoll e -> e.e_watchers <- w :: e.e_watchers
-  | K_file _ -> ()
+(* Whether epoll [e] watches [target], directly or through the epolls it
+   watches. *)
+let rec reaches e target =
+  e == target
+  || Hashtbl.fold
+       (fun _ w found ->
+         found
+         ||
+         match w.w_ofile.kind with
+         | K_epoll e' -> reaches e' target
+         | _ -> false)
+       e.e_watches false
 
-let remove_watcher w =
-  let not_this x = x != w in
-  match w.w_ofile.kind with
-  | K_sock ep -> ep.ep_watchers <- List.filter not_this ep.ep_watchers
-  | K_pipe_r p | K_pipe_w p -> p.p_watchers <- List.filter not_this p.p_watchers
-  | K_listen l -> l.l_watchers <- List.filter not_this l.l_watchers
-  | K_epoll e -> e.e_watchers <- List.filter not_this e.e_watchers
-  | K_file _ -> ()
-
-let do_epoll_ctl _k proc args =
+let do_epoll_ctl k proc args =
   let epfd = Args.int_arg args 0 in
   let op = Args.int_arg args 1 in
   let fd = Args.int_arg args 2 in
@@ -854,6 +903,10 @@ let do_epoll_ctl _k proc args =
               if Hashtbl.mem e.e_watches fd then Args.err Errno.EEXIST
               else if (match o.kind with K_epoll e' -> e' == e | _ -> false)
               then Args.err Errno.EINVAL (* an epoll cannot watch itself *)
+              else if
+                (* nor one that watches it: the watch would close a cycle *)
+                match o.kind with K_epoll e' -> reaches e' e | _ -> false
+              then Args.err Errno.ELOOP
               else begin
                 let w =
                   {
@@ -865,7 +918,7 @@ let do_epoll_ctl _k proc args =
                   }
                 in
                 Hashtbl.replace e.e_watches fd w;
-                add_watcher w;
+                add_watcher k w;
                 notify_watch w;
                 Args.ok 0
               end
@@ -873,7 +926,7 @@ let do_epoll_ctl _k proc args =
             else if op = Flags.epoll_ctl_del then begin
               (match Hashtbl.find_opt e.e_watches fd with
               | Some w ->
-                remove_watcher w;
+                remove_watcher k w;
                 unqueue_watch w
               | None -> ());
               Hashtbl.remove e.e_watches fd;

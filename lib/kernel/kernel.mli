@@ -83,9 +83,6 @@ val fd_snapshot_count : fd_snapshot -> int
 
 (** {1 Introspection} *)
 
-val now_ns : t -> int64
-(** Simulated wall clock in nanoseconds. *)
-
 val fd_count : proc -> int
 val proc_alive : proc -> bool
 

@@ -129,4 +129,7 @@ type t = {
   rng : Varan_util.Prng.t;
   link_latency : int; (* cycles for one network direction *)
   epoch_seconds : int; (* wall-clock base for time(2) *)
+  (* Epoll watches on regular files and devices. Those never notify, so
+     no object lists them; a close still has to find them. *)
+  mutable file_watches : watch list;
 }

@@ -5,7 +5,6 @@ type fault = Partition of int | Delay of int | Drop | Duplicate | Reorder
 (* One direction of travel: an in-order arrival horizon, the delivered
    frames, and at most one frame held back by a pending Reorder. *)
 type 'a dir = {
-  src : Node.t;
   dst : Node.t;
   mutable last_arrival : int64;
   inbox : 'a Queue.t;
@@ -39,7 +38,6 @@ let create ~a ~b ?(latency = 2000) ?(cycles_per_kb = 800) ?(faults = no_faults)
     name =
   let mk src dst =
     {
-      src;
       dst;
       last_arrival = 0L;
       inbox = Queue.create ();
@@ -65,8 +63,6 @@ let create ~a ~b ?(latency = 2000) ?(cycles_per_kb = 800) ?(faults = no_faults)
     s_partitions = 0;
   }
 
-let partitioned t = E.now_cycles () < t.partition_until
-
 (* Park a delivery task until [arrival], then hand the frame to the
    sink. Two sleepers with distinct deadlines wake in deadline order
    (ties break by spawn order), so per-direction arrival order is the
@@ -90,7 +86,6 @@ let schedule t d msg ~bytes ~extra =
     if Int64.compare inorder earliest > 0 then inorder else earliest
   in
   d.last_arrival <- arrival;
-  Node.note_rx d.dst bytes;
   deliver t d msg ~arrival;
   arrival
 
@@ -109,7 +104,6 @@ let send t ~dir ~bytes msg =
   t.next_seq <- seq + 1;
   t.s_sent <- t.s_sent + 1;
   t.s_bytes <- t.s_bytes + bytes;
-  Node.note_tx d.src bytes;
   let now = E.now_cycles () in
   let extra = ref 0 in
   let drop = ref (Int64.compare now t.partition_until < 0) in

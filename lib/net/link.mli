@@ -50,9 +50,6 @@ val recv : 'a t -> dir:int -> 'a
 (** Next frame travelling in direction [dir], in arrival order; blocks
     until one arrives. Task context. *)
 
-val partitioned : 'a t -> bool
-(** Is the link inside a partition window right now? *)
-
 type stats = {
   frames_sent : int;
   frames_delivered : int;

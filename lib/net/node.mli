@@ -1,4 +1,4 @@
-(** A simulated machine: a named home for tasks and a traffic ledger.
+(** A simulated machine: a named home for tasks.
 
     Distributed NVX keeps everything on one {!Varan_sim.Engine} — virtual
     time is global, exactly as in a single-box simulation — but tasks and
@@ -11,7 +11,6 @@ type t
 
 val create : eng:Varan_sim.Engine.t -> string -> t
 val name : t -> string
-val engine : t -> Varan_sim.Engine.t
 
 val spawn : t -> name:string -> (unit -> unit) -> Varan_sim.Engine.task_id
 (** Spawn a task owned by this node (named ["<node>/<name>"]), runnable
@@ -21,11 +20,3 @@ val spawn_here : t -> name:string -> (unit -> unit) -> Varan_sim.Engine.task_id
 (** Like {!spawn} but from task context, runnable at the caller's local
     time. *)
 
-val note_tx : t -> int -> unit
-(** Record bytes leaving this node on some link. *)
-
-val note_rx : t -> int -> unit
-
-type stats = { tasks : int; bytes_tx : int; bytes_rx : int }
-
-val stats : t -> stats

@@ -11,11 +11,8 @@
 
 type t
 
-val create : ?scope:string -> ?seed:int -> shards:int -> unit -> t
-(** [seed] perturbs the hash (default 0); [scope] prefixes the registry
-    counter this router mirrors drain events into. *)
-
-val shards : t -> int
+val create : ?seed:int -> shards:int -> unit -> t
+(** [seed] perturbs the hash (default 0). *)
 
 val route : t -> conn:int -> int
 (** The shard serving this connection. Sticky: repeated calls return the

@@ -178,9 +178,9 @@ type t = {
   mutable leader_idx : int;
   payload_refs : (int, int ref) Hashtbl.t;
   mutable zygote : Zygote.t option;
-  (* The spawn fast path's rewrite cache — the same object the resident
-     zygote owns, kept here so stats and prepare_image reach it without
-     going through the (optional) zygote handle. *)
+  (* The spawn fast path's rewrite cache (the shared hub's, under a
+     shard pool). It outlives every incarnation, so respawns and
+     replicas rebase cached images instead of re-running the rewriter. *)
   rewrite_cache : Rewrite_cache.t;
   (* Monitor-wide site-id allocator: each prepared image (and vDSO patch)
      claims a contiguous id range, so cached rewrites are rebased to
@@ -192,8 +192,8 @@ type t = {
   (* Follower lifecycle manager (None = the original terminal-removal
      behaviour); it also turns on the per-tuple tapes. *)
   lifecycle : Lifecycle.t option;
-  (* Follower checkpoint store — the same object the resident zygote
-     owns, so snapshots survive the incarnations they were taken in. *)
+  (* Follower checkpoint store; snapshots survive the incarnations they
+     were taken in. *)
   checkpoints : Checkpoint.t;
   mutable degraded : string option; (* native-execution fallback reason *)
   mutable max_lag : int;
@@ -207,9 +207,9 @@ type t = {
   (* Distributed mode (config.net): the cross-node ring bridge and its
      bookkeeping. [None] keeps everything on one node. *)
   mutable net : net_state option;
-  (* Observability: the session's flight recorder (keyed by the same
-     scope string the stats registry uses) and the trace track its
-     syscall spans and lifecycle instants render on. *)
+  (* Observability: the session's own flight recorder (named by its
+     scope) and the trace track its syscall spans and lifecycle instants
+     render on. *)
   fl : Flight.t;
   trace_pid : int;
 }
@@ -228,6 +228,38 @@ and net_state = {
      for tuple 0). The leader is always local. *)
   n_remote : bool array;
 }
+
+(* The session's own counts under the names [varan serve --stats-json]
+   reports (a shard pool prefixes them with the shard scope): the
+   checkpoint store's, and the lifecycle manager's when there is one. *)
+let counters t =
+  let cp = Checkpoint.stats t.checkpoints in
+  [
+    ("checkpoint.dedup_hits", cp.Checkpoint.dedup_hits);
+    ("checkpoint.delta_events", cp.Checkpoint.delta_events);
+    ("checkpoint.restores", cp.Checkpoint.restores);
+    ("checkpoint.taken", cp.Checkpoint.taken);
+  ]
+  @
+  match t.lifecycle with
+  | None -> []
+  | Some lc ->
+    let r = Lifecycle.report lc ~leader_idx:t.leader_idx in
+    [
+      ("lifecycle.deaths", r.Lifecycle.deaths);
+      ( "lifecycle.degradations",
+        Bool.to_int (r.Lifecycle.degraded_reason <> None) );
+      ("lifecycle.quarantines", r.Lifecycle.quarantines);
+      ("lifecycle.rejoins", r.Lifecycle.rejoins);
+      ("lifecycle.respawns", r.Lifecycle.respawns);
+      ("lifecycle.unreachable", r.Lifecycle.unreachable);
+    ]
+
+(* Write a post-mortem bundle of this session's recorder and counters,
+   if dumps are armed. *)
+let postmortem t ~at ~reason =
+  if !Flight.dump_enabled then
+    ignore (Flight.dump t.fl ~at ~reason ~counters:(counters t))
 
 (* ------------------------------------------------------------------ *)
 (* Payload reference counting                                          *)
@@ -668,8 +700,7 @@ let degrade t reason =
     t.degraded <- Some reason;
     let at = E.now t.k.Types.eng in
     Flight.record t.fl ~at "session.degrade" reason;
-    ignore
-      (Flight.maybe_dump t.fl ~at ~reason:("session degraded: " ^ reason));
+    postmortem t ~at ~reason:("session degraded: " ^ reason);
     Logs.info (fun m -> m "varan: degrading to native execution: %s" reason)
 
 (* Is any follower mid-recovery (quarantined, backing off, or replaying
@@ -722,9 +753,8 @@ let evict t vsts =
    post-mortem. *)
 let declare_dead t lc en vst why =
   Lifecycle.transition lc en Lifecycle.Dead;
-  ignore
-    (Flight.maybe_dump t.fl ~at:(E.now t.k.Types.eng)
-       ~reason:(Printf.sprintf "follower %d dead: %s" vst.idx why))
+  postmortem t ~at:(E.now t.k.Types.eng)
+    ~reason:(Printf.sprintf "follower %d dead: %s" vst.idx why)
 
 (* Take a follower out of service into [state] (Quarantined or
    Unreachable), noting why and where in the stream it stopped. *)
@@ -1169,7 +1199,7 @@ let handle_crash t vst exn =
        Flight.record t.fl ~at "divergence.kill"
          (Printf.sprintf "variant %d (%s): %s" vst.idx
             vst.variant.Variant.v_name msg);
-       ignore (Flight.maybe_dump t.fl ~at ~reason:("divergence: " ^ msg))
+       postmortem t ~at ~reason:("divergence: " ^ msg)
      | _ ->
        Flight.record t.fl ~at "variant.crash"
          (Printf.sprintf "variant %d (%s): %s" vst.idx
@@ -2220,7 +2250,7 @@ let shared_spawn_zygote sp k =
       | Some l -> l proc ~name
       | None -> ()
     in
-    let z = Zygote.spawn ~cache:sp.sp_cache k ~launcher:dispatch in
+    let z = Zygote.spawn k ~launcher:dispatch in
     sp.sp_zygote <- Some z;
     E.Cond.broadcast sp.sp_ready;
     z
@@ -2300,12 +2330,12 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
       crash_total = 0;
       lifecycle =
         (match config.Config.lifecycle with
-        | Some p -> Some (Lifecycle.create ?scope p ~variants:nvariants)
+        | Some p -> Some (Lifecycle.create p ~variants:nvariants)
         | None -> None);
       (* The checkpoint store stays per-session even under a shared hub:
          snapshots are keyed by variant index, which collides across
          sessions. Only the zygote and the rewrite cache are shared. *)
-      checkpoints = Checkpoint.create ?scope ();
+      checkpoints = Checkpoint.create ();
       degraded = None;
       max_lag = 0;
       ready_cond = E.Cond.create "fork-ready";
@@ -2318,7 +2348,7 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
         | plan -> Some (Fault.arm plan));
       oracle = config.Config.oracle;
       net = None;
-      fl = Flight.get (Option.value scope ~default:"");
+      fl = Flight.create (Option.value scope ~default:"");
       trace_pid = Trace.pid_of_scope (Option.value scope ~default:"session");
     }
   in
@@ -2538,9 +2568,7 @@ let launch ?(config = Config.default) ?scope ?shared k variants =
          let z =
            match shared with
            | Some sp -> shared_spawn_zygote sp k
-           | None ->
-             Zygote.spawn ~cache:t.rewrite_cache ~checkpoints:t.checkpoints k
-               ~launcher
+           | None -> Zygote.spawn k ~launcher
          in
          t.zygote <- Some z;
          Array.iter

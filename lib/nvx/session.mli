@@ -50,10 +50,9 @@ val launch :
 (** Set up and start the session. All variants' tasks are scheduled; the
     caller then runs the engine. The first variant is the initial leader.
 
-    [scope] qualifies the registry counter names this session's lifecycle
-    manager and checkpoint store mirror into (e.g. scope ["shard2"] makes
-    ["shard2.lifecycle.respawns"]) so concurrent sessions keep separable
-    stats; without it the historical bare names are used.
+    [scope] names the session's flight recorder and post-mortem bundles
+    and its trace track (e.g. ["shard2"]); without it they are named
+    ["session"]. Every session creates its own recorder, scoped or not.
 
     [shared] plugs the session into a {!shared_spawn} hub: the session
     uses the hub's zygote and rewrite cache instead of creating its own,
@@ -192,14 +191,21 @@ val tuple_tape : t -> int -> Tape.t option
     {!checkpoint_store}. *)
 
 val checkpoint_store : t -> Checkpoint.t
-(** The session's follower checkpoint store (the resident zygote owns the
-    same object, so snapshots outlive the incarnation they captured). *)
+(** The session's follower checkpoint store; snapshots outlive the
+    incarnation they captured. *)
 
 val flight : t -> Varan_obs.Flight.t
 (** The session's flight recorder — the black box dumped as a post-mortem
-    bundle on divergence, quarantine-kill or degradation. Registered
-    under the session's [scope] (the empty scope for unscoped sessions),
-    so {!Varan_obs.Flight.find} reaches the same object. *)
+    bundle on divergence, quarantine-kill or degradation. Created by
+    {!launch} for this session alone; its bundles list {!counters}. *)
+
+val counters : t -> (string * int) list
+(** The session's own counts, read from their owners: the checkpoint
+    store's [checkpoint.taken], [checkpoint.restores],
+    [checkpoint.delta_events] and [checkpoint.dedup_hits], and with a
+    lifecycle policy the lifecycle report's [lifecycle.quarantines],
+    [lifecycle.respawns], [lifecycle.rejoins], [lifecycle.unreachable],
+    [lifecycle.deaths] and [lifecycle.degradations] (0 or 1). *)
 
 val release_payload : t -> Varan_ringbuf.Event.t -> unit
 (** Drop one reader's reference to an event's shared-memory payload,

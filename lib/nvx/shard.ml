@@ -1,6 +1,5 @@
 module E = Varan_sim.Engine
 module Types = Varan_kernel.Types
-module Stats = Varan_util.Stats
 module Flight = Varan_obs.Flight
 
 (* Sharded serving layer: N independent monitor sessions — each with its
@@ -15,7 +14,6 @@ module Flight = Varan_obs.Flight
 
 type shard = {
   sh_id : int;
-  sh_scope : string;
   sh_session : Session.t;
 }
 
@@ -24,8 +22,7 @@ type t = {
   hub : Session.shared_spawn;
   router : Router.t;
   eng : E.t;
-  g_degraded : Stats.counter;
-  mutable degraded_seen : bool array; (* health edge already reported *)
+  degraded_seen : bool array; (* health edge already reported *)
 }
 
 let scope_of_shard i = Printf.sprintf "shard%d" i
@@ -44,7 +41,6 @@ let refresh_health t =
       let up = shard_healthy sh in
       if (not up) && not t.degraded_seen.(sh.sh_id) then begin
         t.degraded_seen.(sh.sh_id) <- true;
-        Stats.incr_counter t.g_degraded;
         (* Pool-level view of the same edge: the shard's black box gets
            the moment the router stopped sending it fresh connections. *)
         Flight.record
@@ -59,10 +55,9 @@ let refresh_health t =
       end)
     t.shards
 
-let launch ?config ?config_of ?(router_seed = 0) ?(health_period = 20_000)
-    ?scope_of k ~shards ~variants_of =
+let launch ?config ?config_of ?(router_seed = 0) ?(health_period = 20_000) k
+    ~shards ~variants_of =
   if shards < 1 then invalid_arg "Shard.launch: shards";
-  let scope_of = Option.value scope_of ~default:scope_of_shard in
   let hub = Session.shared_spawn () in
   let config_for i =
     match config_of with
@@ -71,12 +66,11 @@ let launch ?config ?config_of ?(router_seed = 0) ?(health_period = 20_000)
   in
   let pool =
     Array.init shards (fun i ->
-        let scope = scope_of i in
         let session =
-          Session.launch ~config:(config_for i) ~scope ~shared:hub k
-            (variants_of i)
+          Session.launch ~config:(config_for i) ~scope:(scope_of_shard i)
+            ~shared:hub k (variants_of i)
         in
-        { sh_id = i; sh_scope = scope; sh_session = session })
+        { sh_id = i; sh_session = session })
   in
   let t =
     {
@@ -84,7 +78,6 @@ let launch ?config ?config_of ?(router_seed = 0) ?(health_period = 20_000)
       hub;
       router = Router.create ~seed:router_seed ~shards ();
       eng = k.Types.eng;
-      g_degraded = Stats.counter "shard.degraded";
       degraded_seen = Array.make shards false;
     }
   in
@@ -95,12 +88,9 @@ let launch ?config ?config_of ?(router_seed = 0) ?(health_period = 20_000)
       true);
   t
 
-let count t = Array.length t.shards
 let session t i = t.shards.(i).sh_session
-let scope t i = t.shards.(i).sh_scope
 let router t = t.router
 let hub t = t.hub
-let healthy t i = shard_healthy t.shards.(i)
 
 let route t ~conn = Router.route t.router ~conn
 
@@ -115,3 +105,28 @@ let zygote_forks t =
   match Session.shared_zygote t.hub with
   | None -> 0
   | Some z -> Zygote.forks_served z
+
+(* The pool's counts, read from their owners: every session's own
+   counters under its shard scope, the router's drains, the health
+   edges the ticker reported, the hub cache's hits/misses/rebases and
+   the engine's task switches. *)
+let counters t =
+  let cache = Varan_binary.Rewrite_cache.stats (Session.shared_cache t.hub) in
+  let edges =
+    Array.fold_left (fun n seen -> n + Bool.to_int seen) 0 t.degraded_seen
+  in
+  List.concat_map
+    (fun sh ->
+      let scope = scope_of_shard sh.sh_id in
+      List.map
+        (fun (name, v) -> (scope ^ "." ^ name, v))
+        (Session.counters sh.sh_session))
+    (Array.to_list t.shards)
+  @ [
+      ("engine.task_switches", E.task_switches t.eng);
+      ("rewrite_cache.hits", cache.Varan_binary.Rewrite_cache.hits);
+      ("rewrite_cache.misses", cache.Varan_binary.Rewrite_cache.misses);
+      ("rewrite_cache.rebases", cache.Varan_binary.Rewrite_cache.rebases);
+      ("router.drained", (Router.stats t.router).Router.drained);
+      ("shard.degraded", edges);
+    ]

@@ -4,8 +4,9 @@
     and tape each — behind a sticky {!Router}, while sharing one spawn
     hub ({!Session.shared_spawn}: resident zygote + content-addressed
     rewrite cache) so spawn cost is paid once for the pool, not per
-    shard. Per-shard registry counters are qualified with the shard
-    scope ("shard2.lifecycle.respawns", "shard2.checkpoint.taken").
+    shard. Shard [i]'s session is scoped ["shardI"]: its flight recorder
+    and trace track carry that name, and {!counters} prefixes its
+    counts with it ("shard2.lifecycle.respawns").
 
     Failure isolation: a quarantined follower or a degraded session on
     one shard never gates its siblings. The health ticker feeds session
@@ -19,7 +20,6 @@ val launch :
   ?config_of:(int -> Config.t) ->
   ?router_seed:int ->
   ?health_period:int ->
-  ?scope_of:(int -> string) ->
   Varan_kernel.Types.t ->
   shards:int ->
   variants_of:(int -> Variant.t list) ->
@@ -30,21 +30,14 @@ val launch :
     with the shard id. [config_of] overrides [config] per shard (beware
     sharing one [Config.oracle] across shards — ring registrations would
     collide; default config is safe). [health_period] is the router
-    health-sync ticker period in cycles. [scope_of] overrides the
-    default ["shardN"] stats scope. *)
+    health-sync ticker period in cycles. *)
 
-val count : t -> int
 val session : t -> int -> Session.t
-val scope : t -> int -> string
 
 val router : t -> Router.t
 
 val route : t -> conn:int -> int
 (** Sticky-route a client connection to a shard index (see {!Router}). *)
-
-val healthy : t -> int -> bool
-(** Whether the shard still runs full N-version execution (its session
-    has not degraded to native leader-only). *)
 
 val degraded : t -> (int * string) list
 (** Shards whose sessions degraded, with reasons. *)
@@ -55,3 +48,12 @@ val hub : t -> Session.shared_spawn
 val zygote_forks : t -> int
 (** Forks served by the shared zygote across all shards — evidence the
     pool really shares one spawner. *)
+
+val counters : t -> (string * int) list
+(** The pool's counts under the names [varan serve --stats-json] writes,
+    each read from its owner: every shard's {!Session.counters} prefixed
+    with its scope ("shard0.checkpoint.taken"), [router.drained] from
+    the router's stats, [shard.degraded] (shards the health ticker has
+    marked down), the hub cache's [rewrite_cache.hits] /
+    [rewrite_cache.misses] / [rewrite_cache.rebases], and the engine's
+    [engine.task_switches]. *)

@@ -56,5 +56,3 @@ let make ?(profile = default_profile) ?(compute_multiplier_c1000 = 1000)
     rules;
   }
 
-let replicas n v =
-  List.init n (fun i -> { v with v_name = Printf.sprintf "%s#%d" v.v_name i })

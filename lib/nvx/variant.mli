@@ -61,8 +61,3 @@ val image : code_profile -> string
     in for the binary on disk. Generated on the first call for a profile
     and shared by every later call in the process (the same physical
     string); loaders copy it into a segment before patching. *)
-
-val replicas : int -> t -> t list
-(** [replicas n v] is [n] copies of the same version (the paper's
-    performance experiments run multiple instances of one version),
-    distinguished by numbered names. *)

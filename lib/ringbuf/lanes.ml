@@ -21,12 +21,7 @@ type t = {
   mutable sync_ev : Event.t option;
       (* the routed sync event holding the barrier; matched by physical
          equality on consume. *)
-  mutable routed : int;
-  mutable barrier_stalls : int;
-  mutable max_depth : int;
 }
-
-type stats = { routed : int; barrier_stalls : int; max_depth : int }
 
 let create ~consumer ~is_sync ~on_route ~capacity =
   if capacity < 1 then invalid_arg "Lanes.create: capacity < 1";
@@ -39,9 +34,6 @@ let create ~consumer ~is_sync ~on_route ~capacity =
     outstanding = 0;
     barrier = false;
     sync_ev = None;
-    routed = 0;
-    barrier_stalls = 0;
-    max_depth = 0;
   }
 
 let lane t tid =
@@ -61,9 +53,6 @@ let route t e =
   let q = lane t e.Event.tid in
   Queue.push e q;
   t.outstanding <- t.outstanding + 1;
-  t.routed <- t.routed + 1;
-  let d = Queue.length q in
-  if d > t.max_depth then t.max_depth <- d;
   (* Demux-time hook runs after queueing: if it raises (divergence), the
      event is already in a lane and teardown's [drain] still reaches its
      payload. *)
@@ -77,12 +66,10 @@ let pump t =
       match Ring.peek_h t.consumer with
       | None -> continue := false
       | Some e ->
-        if t.is_sync e && t.outstanding > 0 then begin
+        if t.is_sync e && t.outstanding > 0 then
           (* A sync event must see every earlier routed event consumed
              before it enters a lane; leave it in the ring. *)
-          t.barrier_stalls <- t.barrier_stalls + 1;
           continue := false
-        end
         else begin
           (match Ring.try_consume_h t.consumer with
           | Some e' -> assert (e' == e)  (* single demuxer per consumer *)
@@ -137,6 +124,3 @@ let drain t =
   t.sync_ev <- None;
   List.rev !acc
 
-let stats (t : t) =
-  { routed = t.routed; barrier_stalls = t.barrier_stalls;
-    max_depth = t.max_depth }

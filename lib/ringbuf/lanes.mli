@@ -61,12 +61,3 @@ val outstanding : t -> int
 val drain : t -> Event.t list
 (** Teardown: remove and return every routed-but-unconsumed event (for
     payload release), clearing the barrier. *)
-
-type stats = {
-  routed : int;  (** events demultiplexed into lanes *)
-  barrier_stalls : int;
-      (** times a sync event had to wait for the lanes to empty *)
-  max_depth : int;  (** deepest any single lane has been *)
-}
-
-val stats : t -> stats

@@ -82,8 +82,6 @@ let create ?(size = 256) rname =
     stall_hook = None;
   }
 
-let size t = Array.length t.slots
-let name t = t.rname
 let set_tap t tap = t.tap <- tap
 let set_stall_hook t hook = t.stall_hook <- hook
 

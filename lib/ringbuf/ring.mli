@@ -30,9 +30,6 @@ type 'a consumer
 val create : ?size:int -> string -> 'a t
 (** [size] defaults to 256 events, the prototype's default. *)
 
-val size : 'a t -> int
-val name : 'a t -> string
-
 val subscribe : 'a t -> 'a consumer
 (** Register a consumer starting at the current head (it will only see
     events published after this call). *)

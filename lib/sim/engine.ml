@@ -343,11 +343,6 @@ type t = {
   mutable switches : int; (* entries dispatched — task switches *)
 }
 
-(* Process-wide mirror of every engine's dispatch count: the scheduler
-   baseline for future work (engine-1k-task-switches measures the cost
-   of one such dispatch). *)
-let g_switches = Varan_util.Stats.counter "engine.task_switches"
-
 (* Payload side-slots for the hot effects: a constant effect constructor
    allocates nothing at [perform], so the wrappers stash their argument
    here and the handler reads it back synchronously (tasks are
@@ -805,7 +800,6 @@ let drain ?cycle_budget t =
             Varan_obs.Profile.add Varan_obs.Profile.sched_dispatch
               (Int64.of_int (t.global_time - e.etime));
           t.switches <- t.switches + 1;
-          Varan_util.Stats.incr_counter g_switches;
           (match e.ekind with
           | Ek_resume ->
             let task = e.e_task and etime = e.etime and flag = e.e_flag in
@@ -857,7 +851,6 @@ let drain ?cycle_budget t =
               if can_inline t due then begin
                 t.global_time <- due;
                 t.switches <- t.switches + 1;
-                Varan_util.Stats.incr_counter g_switches;
                 fire_timer t e due
               end
               else begin
@@ -911,7 +904,6 @@ let[@inline] advance_inline task nt =
     task.time <- nt;
     t.global_time <- nt;
     t.switches <- t.switches + 1;
-    Varan_util.Stats.incr_counter g_switches;
     true
   end
   else false

@@ -80,10 +80,9 @@ val failures : t -> (task_id * exn) list
 (** Tasks that terminated with an uncaught exception, oldest first. *)
 
 val task_switches : t -> int
-(** Entries dispatched so far — the engine's task-switch count.
-    Also mirrored into the process-wide [engine.task_switches]
-    {!Varan_util.Stats} counter, so scheduler work has a baseline to
-    measure against. *)
+(** Entries dispatched so far — the engine's task-switch count, and the
+    one place that count is kept ([varan serve --stats-json] reports it
+    as [engine.task_switches]). *)
 
 val total_task_cycles : t -> int64
 (** Sum over every task ever spawned of its lifetime so far — the vtime

@@ -350,6 +350,5 @@ let is_blocking = function
     true
   | _ -> false
 
-let pp ppf s = Format.pp_print_string ppf (name s)
 let compare a b = Stdlib.compare (to_int a) (to_int b)
 let equal a b = to_int a = to_int b

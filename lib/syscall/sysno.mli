@@ -152,8 +152,6 @@ val is_blocking : t -> bool
     machinery, §3.3.1): [read]/[recvfrom]/[accept]/[epoll_wait]/[poll]/
     [select]/[wait4]/[futex]/[nanosleep]/[pause]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val compare : t -> t -> int
 
 val equal : t -> t -> bool

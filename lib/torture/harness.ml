@@ -12,15 +12,6 @@ module Stats = Varan_util.Stats
 module Flight = Varan_obs.Flight
 module P = Programs
 
-(* A sweep launches hundreds of scoped sessions in one process; without
-   this the stats and flight-recorder registries accumulate every dead
-   case's entries (the registry-leak bug: dumps grew monotonically and
-   showed shards from long-finished seeds). Called at the top of every
-   case runner, so each case's registries hold that case alone. *)
-let reset_registries () =
-  Stats.clear_registry ();
-  Flight.clear_registry ()
-
 type case = {
   seed : int;
   followers : int;
@@ -199,7 +190,6 @@ type outcome = {
 let cycle_budget = 50_000_000_000L
 
 let run_ops case ops =
-  reset_registries ();
   let native = P.run_native ~kernel_seed:case.seed ops in
   let eng = E.create () in
   let k = K.create ~seed:case.seed eng in
@@ -399,7 +389,7 @@ let check_lifecycle (case : case) (out : outcome) =
                   | e :: _ -> e.Flight.ev_at
                   | [] -> 0L
                 in
-                Flight.dump fl ~at
+                Flight.dump fl ~at ~counters:(Nvx.counters out.session)
                   ~reason:
                     (Printf.sprintf "unexpected Dead of follower %d: %s" idx
                        fr.Lifecycle.fr_reason)
@@ -538,7 +528,6 @@ type futex_outcome = {
    order: equal digests mean the follower reproduced the leader's global
    lock-acquisition order, thread by thread. *)
 let run_futex_case ?leader_crash_at fc =
-  reset_registries ();
   let eng = E.create () in
   let k = K.create ~seed:fc.f_seed eng in
   let n = fc.f_followers + 1 in
@@ -712,7 +701,6 @@ type shard_outcome = {
 }
 
 let run_shard_case c =
-  reset_registries ();
   let progs = Array.init c.sc_shards (shard_program c) in
   (* Reference digests first: each shard's program alone on a fresh
      kernel with the pooled run's seed. *)

@@ -79,12 +79,6 @@ val check : case -> outcome -> string list
 val run_seed : int -> case * outcome * string list
 (** [gen_case], [run_case], [check] in one step. *)
 
-val reset_registries : unit -> unit
-(** Drop every entry from the process-wide stats and flight-recorder
-    registries. Every case runner calls this first, so a sweep of
-    hundreds of scoped sessions doesn't accumulate dead scopes (and
-    [Varan_util.Stats.dump_json] describes the current case alone). *)
-
 val json_of_outcome : fails:string list -> case -> outcome -> string
 (** One JSON object (single line, no trailing newline) summarizing a
     finished case: seed and shape, per-variant digests against native,

@@ -30,11 +30,6 @@ let to_array t = Array.sub t.a 0 t.len
 
 let to_list t = Array.to_list (to_array t)
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.a.(i)
-  done
-
 let fold f init t =
   let acc = ref init in
   for i = 0 to t.len - 1 do

@@ -30,7 +30,6 @@ val to_array : t -> float array
 val to_list : t -> float list
 (** Samples oldest first (allocates; prefer {!to_array} for large runs). *)
 
-val iter : (float -> unit) -> t -> unit
 val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
 
 val summary : t -> Stats.summary option

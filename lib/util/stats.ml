@@ -54,55 +54,6 @@ let summarize_array a =
     p999 = percentile_sorted 99.9 a;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Named monotonic counters                                            *)
-(* ------------------------------------------------------------------ *)
-
-type counter = { c_name : string; mutable c_value : int }
-
-let registry : (string, counter) Hashtbl.t = Hashtbl.create 16
-
-let counter name =
-  match Hashtbl.find_opt registry name with
-  | Some c -> c
-  | None ->
-    let c = { c_name = name; c_value = 0 } in
-    Hashtbl.replace registry name c;
-    c
-
-let scoped_name ?scope name =
-  match scope with None -> name | Some s -> s ^ "." ^ name
-
-let scoped_counter ?scope name = counter (scoped_name ?scope name)
-let incr_counter c = c.c_value <- c.c_value + 1
-let add_counter c n = c.c_value <- c.c_value + n
-let counter_value c = c.c_value
-let counter_name c = c.c_name
-
-let counters () =
-  Hashtbl.fold (fun name c acc -> (name, c.c_value) :: acc) registry []
-  |> List.sort compare
-
-(* ------------------------------------------------------------------ *)
-(* Registry hygiene and export                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* A harness that launches hundreds of scoped sessions per process needs
-   to drop the dead scopes, or every dump grows monotonically and shows
-   shards that no longer exist. *)
-let remove_scope scope =
-  let prefix = scope ^ "." in
-  let plen = String.length prefix in
-  Hashtbl.fold
-    (fun name _ acc ->
-      if String.length name >= plen && String.sub name 0 plen = prefix then
-        name :: acc
-      else acc)
-    registry []
-  |> List.iter (Hashtbl.remove registry)
-
-let clear_registry () = Hashtbl.reset registry
-
 let json_escape s =
   let b = Buffer.create (String.length s + 2) in
   String.iter
@@ -117,11 +68,10 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* Machine-readable export of every counter as one JSON object. *)
-let dump_json () =
+let counters_json cs =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n  \"counters\": {\n";
-  let cs = counters () in
+  let cs = List.sort compare cs in
   let n = List.length cs in
   List.iteri
     (fun i (name, v) ->
@@ -131,8 +81,3 @@ let dump_json () =
     cs;
   Buffer.add_string b "  }\n}\n";
   Buffer.contents b
-
-let dump_json_to path =
-  let oc = open_out path in
-  output_string oc (dump_json ());
-  close_out oc

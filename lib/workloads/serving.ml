@@ -66,6 +66,7 @@ type outcome = {
   o_zygote_forks : int; (* served by the one shared zygote *)
   o_rewrite_cache : Rewrite_cache.stats; (* shared across shards *)
   o_total_task_cycles : int64; (* profile coverage denominator *)
+  o_pool : Shard.t; (* the finished pool, for its counters *)
 }
 
 (* Shard port bases are spread so each shard's units own a disjoint port
@@ -170,4 +171,5 @@ let run ?(label = "serving") spec =
     o_rewrite_cache =
       Rewrite_cache.stats (Session.shared_cache (Shard.hub pool));
     o_total_task_cycles = E.total_task_cycles eng;
+    o_pool = pool;
   }

@@ -48,6 +48,9 @@ type outcome = {
       (** {!Varan_sim.Engine.total_task_cycles} at quiescence — the
           denominator [varan serve --profile] judges attribution
           coverage against *)
+  o_pool : Varan_nvx.Shard.t;
+      (** the finished pool; [varan serve --stats-json] writes its
+          {!Varan_nvx.Shard.counters} *)
 }
 
 val port_base : int -> int

@@ -19,6 +19,8 @@ module Prng = Varan_util.Prng
 module H = Varan_torture.Harness
 module P = Gen_programs
 
+let run_checked = Checked.run_checked
+
 let check_case_exn label case out =
   match H.check case out with
   | [] -> ()
@@ -376,6 +378,101 @@ let test_quarantine_kill_dumps_postmortem () =
         (List.length (Flight.transitions fl) >= 2);
       Alcotest.(check bool) "recorder kept recent events" true
         (Flight.entries fl <> []))
+
+(* Every session owns its flight recorder and its counters. Two
+   unscoped sessions share one kernel: [a]'s follower stalls early and
+   is quarantined and respawned; [b]'s follower stalls late with no
+   restart budget and dies, which dumps [b]'s post-mortem bundle. The
+   two get distinct recorders, [a]'s transitions stay out of [b]'s, and
+   [b]'s bundle lists [b]'s counts alone — no respawn, though [a]
+   respawned before the dump. *)
+let test_sessions_own_their_recorders () =
+  let module Flight = Varan_obs.Flight in
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "varan-pm-own" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Flight.dump_enabled := true;
+  Flight.dump_dir := dir;
+  Flight.last_dump := None;
+  Fun.protect
+    ~finally:(fun () ->
+      Flight.dump_enabled := false;
+      Flight.dump_dir := ".")
+    (fun () ->
+      let eng = E.create () in
+      let k = K.create ~seed:114 eng in
+      let launch name policy stall =
+        let variants =
+          List.init 3 (fun i ->
+              Variant.make
+                (Printf.sprintf "%s%d" name i)
+                (Variant.single (fun api ->
+                     P.interpret ~obs:(P.observations ()) ~path:name
+                       (payload_ops 12) api)))
+        in
+        Nvx.launch
+          ~config:
+            {
+              Config.default with
+              Config.lifecycle = Some policy;
+              fault_plan = [ stall ];
+            }
+          k variants
+      in
+      let a =
+        launch "a" lc
+          (Fault.Stall_follower { idx = 1; at_seq = 3; delay = 2_000_000 })
+      in
+      let b =
+        launch "b" { lc with Lifecycle.max_restarts = 0 }
+          (Fault.Stall_follower { idx = 1; at_seq = 40; delay = 2_000_000 })
+      in
+      run_checked ~quiescent:true eng;
+      Alcotest.(check bool) "distinct recorders" true
+        (Nvx.flight a != Nvx.flight b);
+      let count s name = List.assoc name (Nvx.counters s) in
+      Alcotest.(check bool) "a respawned" true
+        (count a "lifecycle.respawns" >= 1);
+      Alcotest.(check int) "b never respawned" 0 (count b "lifecycle.respawns");
+      let lr = Option.get (Nvx.lifecycle_report a) in
+      Alcotest.(check (pair int int)) "a's counters are its report's"
+        (lr.Lifecycle.quarantines, lr.Lifecycle.respawns)
+        (count a "lifecycle.quarantines", count a "lifecycle.respawns");
+      Alcotest.(check int) "b's follower died" 1 (count b "lifecycle.deaths");
+      Alcotest.(check bool) "b's recorder holds b's transitions only" true
+        (List.for_all
+           (fun (tr : Flight.transition) -> tr.Flight.tr_to <> "respawning")
+           (Flight.transitions (Nvx.flight b)));
+      let bundle =
+        match !Flight.last_dump with
+        | Some p -> p
+        | None -> Alcotest.fail "b's death wrote no post-mortem bundle"
+      in
+      let ic = open_in bundle in
+      let body = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let j =
+        let key = "\"counters\": {" in
+        let rec find i =
+          if String.sub body i (String.length key) = key then
+            i + String.length key
+          else find (i + 1)
+        in
+        find 0
+      in
+      let counters =
+        String.sub body j (String.index_from body j '}' - j)
+        |> String.split_on_char ','
+        |> List.filter_map (fun kv ->
+               match String.split_on_char ':' kv with
+               | [ key; v ] ->
+                 let key = String.trim key in
+                 Some
+                   ( String.sub key 1 (String.length key - 2),
+                     int_of_string (String.trim v) )
+               | _ -> None)
+      in
+      Alcotest.(check (list (pair string int))) "bundle lists b's counters"
+        (List.sort compare (Nvx.counters b)) counters)
 
 (* Satellite: losing every follower degrades the session to native-speed
    leader-only execution with a reported reason — never an escaping
@@ -882,7 +979,7 @@ let test_thread_grid_64_workload () =
     { Config.default with Config.ring_size = 64; oracle = Some oracle }
   in
   let session = Nvx.launch ~config k variants in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check (list (pair int string))) "no crashes" []
     (Nvx.crashes session);
   Alcotest.(check (option string)) "not degraded" None
@@ -949,7 +1046,7 @@ let test_link_inorder_latency () =
            let v = Link.recv link ~dir:0 in
            arrivals := (v, E.now_cycles ()) :: !arrivals
          done));
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   let arrivals = List.rev !arrivals in
   Alcotest.(check (list int)) "in send order" [ 1; 2; 3 ]
     (List.map fst arrivals);
@@ -977,7 +1074,7 @@ let test_link_partition_window () =
          E.sleep 60_000;
          Link.send link ~dir:0 ~bytes:64 3));
   ignore (E.spawn eng (fun () -> got := [ Link.recv link ~dir:0 ]));
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check (list int)) "only the post-heal frame" [ 3 ] !got;
   let s = Link.stats link in
   Alcotest.(check int) "two frames lost to the window" 2 s.Link.frames_lost;
@@ -1000,7 +1097,7 @@ let test_link_dup_and_reorder () =
          for _ = 1 to 4 do
            got := Link.recv link ~dir:0 :: !got
          done));
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check (list int)) "one-slot swap, then the duplicate"
     [ 2; 1; 3; 3 ] (List.rev !got)
 
@@ -1183,9 +1280,9 @@ let roundtrip seed =
     Varan_kernel.Vfs.add_file k "/var/.keep" "";
     let session = Nvx.launch ~config k variants in
     let recorder = RR.record session k ~tuple:0 ~path:"/var/run.log" in
-    E.run_until_quiescent eng;
+    run_checked ~quiescent:true eng;
     ignore (E.spawn eng (fun () -> RR.stop recorder));
-    E.run_until_quiescent eng;
+    run_checked ~quiescent:true eng;
     let live_report = Oracle.report live_oracle in
     let log =
       match Varan_kernel.Vfs.read_file k "/var/run.log" with
@@ -1208,7 +1305,7 @@ let roundtrip seed =
     let rp = RR.replay k2 ~path:"/var/run.log" rvariants in
     let replay_oracle = Oracle.create () in
     Oracle.attach_ring replay_oracle ~tuple:0 (RR.replay_ring rp);
-    E.run_until_quiescent eng2;
+    run_checked ~quiescent:true eng2;
     let replay_report = Oracle.report replay_oracle in
     Some (case, live_report, replay_report, RR.replay_crashes rp)
   end
@@ -1269,6 +1366,8 @@ let () =
             test_dead_after_restart_budget;
           Alcotest.test_case "quarantine kill dumps post-mortem" `Quick
             test_quarantine_kill_dumps_postmortem;
+          Alcotest.test_case "sessions own their recorders" `Quick
+            test_sessions_own_their_recorders;
           Alcotest.test_case "all followers dead degrades" `Quick
             test_degrade_all_followers_dead;
           Alcotest.test_case "no leader remains degrades" `Quick

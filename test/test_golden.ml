@@ -25,6 +25,8 @@ module Catalog = Varan_workloads.Catalog
 module Driver = Varan_workloads.Driver
 module Workload = Varan_workloads.Workload
 
+let run_checked = Checked.run_checked
+
 let fingerprint (st : Nvx.stats) ~clock =
   let b = Buffer.create 512 in
   Array.iter
@@ -44,7 +46,6 @@ let fingerprint (st : Nvx.stats) ~clock =
    reference run, on an engine this test owns so the final clock is
    observable. *)
 let run_torture_case (case : H.case) ops =
-  H.reset_registries ();
   let eng = E.create () in
   let k = K.create ~seed:case.H.seed eng in
   let n = case.H.followers + 1 in
@@ -68,7 +69,7 @@ let run_torture_case (case : H.case) ops =
     }
   in
   let session = Nvx.launch ~config k variants in
-  E.run_until_quiescent ~cycle_budget:50_000_000_000L eng;
+  run_checked ~quiescent:true ~cycle_budget:50_000_000_000L eng;
   fingerprint (Nvx.stats session) ~clock:(E.now eng)
 
 let directed ?lifecycle ~seed ~followers plan =
@@ -139,7 +140,7 @@ let process_forks () =
     Nvx.launch k
       (List.init 3 (fun i -> Variant.make (Printf.sprintf "p%d" i) program))
   in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   fingerprint (Nvx.stats session) ~clock:(E.now eng)
 
 let lifecycle_checkpoint () =
@@ -192,7 +193,7 @@ let lanes () =
       k
       (List.init 3 (fun i -> Workload.fresh_variant w (Printf.sprintf "g%d" i)))
   in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   fingerprint (Nvx.stats session) ~clock:(E.now eng)
 
 (* ---- expected values ------------------------------------------------- *)

@@ -23,12 +23,7 @@ let ok_bytes = function
   | Ok b -> b
   | Error e -> Alcotest.failf "unexpected errno %s" (Errno.name e)
 
-(* Run to completion, or with [~quiescent] until nothing is runnable. The
-   engine only records an exception raised in a task, so a check that
-   failed inside a task is re-raised here to fail the test. *)
-let run_checked ?(quiescent = false) eng =
-  if quiescent then E.run_until_quiescent eng else E.run eng;
-  match E.failures eng with [] -> () | (_, e) :: _ -> raise e
+let run_checked = Checked.run_checked
 
 (* Run [body] as a single simulated process and return its result. *)
 let in_proc ?(link_latency = 0) body =
@@ -837,7 +832,14 @@ let epoll_differential_case seed =
             | Ok l -> l
             | Error e -> Alcotest.failf "epoll_wait: %s" (Errno.name e)
           in
-          let want = ref_scan (epoll_of proc ep) maxevents in
+          let e = epoll_of proc ep in
+          Hashtbl.iter
+            (fun fd (w : T.watch) ->
+              if w.T.w_ofile.T.refcount <= 0 then
+                Alcotest.failf "seed %d: fd %d's file is closed but watched"
+                  seed fd)
+            e.T.e_watches;
+          let want = ref_scan e maxevents in
           let show l =
             String.concat " "
               (List.map (fun (fd, ev) -> Printf.sprintf "%d:%d" fd ev) l)
@@ -920,15 +922,19 @@ let epoll_differential_case seed =
             let r, w = Result.get_ok (Api.pipe api) in
             fresh r;
             fresh w;
-            (* A watch outlives its fd's close here, so a reused fd
-               number still has one: replace it. *)
-            let watch ep fd =
-              ok_unit (Api.epoll_ctl api ep Flags.epoll_ctl_del fd 0);
+            (* A close drops its fd's watches, so the fresh pipe's fd
+               number is free to ADD. The outer epoll may already watch
+               the inner one, with a random mask. *)
+            ok_unit
+              (Api.epoll_ctl api inner Flags.epoll_ctl_add r Flags.epollin);
+            (match
+               Api.epoll_ctl api outer Flags.epoll_ctl_add inner Flags.epollin
+             with
+            | Error Errno.EEXIST ->
               ok_unit
-                (Api.epoll_ctl api ep Flags.epoll_ctl_add fd Flags.epollin)
-            in
-            watch inner r;
-            watch outer inner;
+                (Api.epoll_ctl api outer Flags.epoll_ctl_mod inner
+                   Flags.epollin)
+            | res -> ok_unit res);
             let written = ref false and delay = 2_000 + int 2_000 in
             ignore
               (E.spawn eng ~name:"writer" (fun () ->
@@ -1088,6 +1094,94 @@ let test_epoll_nested_wakes () =
   Alcotest.(check (list (pair int int)))
     "woken by the inner epoll" [ (!inner, Flags.epollin) ] !result
 
+(* An epoll may not watch one that watches it, directly or through a
+   third: with A watching B, B ADD A would close a cycle, and Linux
+   refuses it with ELOOP. An epoll reached along two paths is no cycle,
+   and an epoll watching itself stays EINVAL. *)
+let test_epoll_cycle_refused () =
+  in_proc (fun _k api ->
+      let add ep fd =
+        Api.epoll_ctl api ep Flags.epoll_ctl_add fd Flags.epollin
+      in
+      let a = ok_int (Api.epoll_create api) in
+      let b = ok_int (Api.epoll_create api) in
+      let c = ok_int (Api.epoll_create api) in
+      ok_unit (add a b);
+      Alcotest.(check (result unit errno)) "B watching A" (Error Errno.ELOOP)
+        (add b a);
+      ok_unit (add b c);
+      Alcotest.(check (result unit errno)) "C watching A through B"
+        (Error Errno.ELOOP) (add c a);
+      ok_unit (add a c);
+      Alcotest.(check (result unit errno)) "A watching itself"
+        (Error Errno.EINVAL) (add a a);
+      let r, w = Result.get_ok (Api.pipe api) in
+      ok_unit (add c r);
+      ignore (ok_int (Api.write_str api w "x"));
+      Alcotest.(check (list (pair int int))) "readiness still flows up"
+        [ (b, Flags.epollin); (c, Flags.epollin) ]
+        (ok_int (Api.epoll_wait api a ~max_events:8 ~timeout_ms:0)))
+
+(* Closing the last reference to a watched file drops its watches from
+   every epoll, as on Linux: the closed fd is no longer reported, and a
+   new pipe that reuses its number can be ADDed. A dup keeps the file,
+   and so the watch, alive. Closing an epoll unhooks the watches it held
+   from the files they watched, and other epolls' watches on it. *)
+let test_epoll_close_drops_watches () =
+  let eng = E.create () in
+  let k = K.create eng in
+  let proc = K.new_proc k "closer" in
+  let pipe_of fd =
+    match (Hashtbl.find proc.T.fds fd).T.fde_ofile.T.kind with
+    | T.K_pipe_r p | T.K_pipe_w p -> p
+    | _ -> Alcotest.failf "fd %d is not a pipe" fd
+  in
+  let tid =
+    E.spawn eng (fun () ->
+        let api = Api.direct k proc in
+        let add ep fd =
+          Api.epoll_ctl api ep Flags.epoll_ctl_add fd Flags.epollin
+        in
+        let wait ep =
+          ok_int (Api.epoll_wait api ep ~max_events:8 ~timeout_ms:0)
+        in
+        let ep = ok_int (Api.epoll_create api) in
+        let r, w = Result.get_ok (Api.pipe api) in
+        ok_unit (add ep r);
+        ignore (ok_int (Api.write_str api w "x"));
+        ignore (ok_int (Api.close api r));
+        Alcotest.(check (list (pair int int))) "closed fd not reported" []
+          (wait ep);
+        let r2, w2 = Result.get_ok (Api.pipe api) in
+        Alcotest.(check int) "the fd number is reused" r r2;
+        Alcotest.(check (result unit errno)) "ADD of the reused number"
+          (Ok ()) (add ep r2);
+        let d = ok_int (Api.dup api r2) in
+        ignore (ok_int (Api.close api r2));
+        ignore (ok_int (Api.write_str api w2 "y"));
+        Alcotest.(check (list (pair int int))) "a dup keeps the watch"
+          [ (r2, Flags.epollin) ] (wait ep);
+        ignore (ok_int (Api.close api d));
+        Alcotest.(check (list (pair int int))) "gone with the last reference"
+          [] (wait ep);
+        let outer = ok_int (Api.epoll_create api) in
+        ok_unit (add outer ep);
+        let r3, w3 = Result.get_ok (Api.pipe api) in
+        ok_unit (add ep r3);
+        ignore (ok_int (Api.write_str api w3 "z"));
+        Alcotest.(check (list (pair int int))) "outer sees the inner epoll"
+          [ (ep, Flags.epollin) ] (wait outer);
+        ignore (ok_int (Api.close api ep));
+        Alcotest.(check int) "the pipe lost the closed epoll's watch" 0
+          (List.length (pipe_of r3).T.p_watchers);
+        Alcotest.(check (list (pair int int))) "outer lost its watch on it"
+          [] (wait outer);
+        Alcotest.(check int) "outer holds no watch" 0
+          (Hashtbl.length (epoll_of proc outer).T.e_watches))
+  in
+  K.register_task k proc tid;
+  run_checked eng
+
 (* epoll_wait encodes what it collected before it charges for the copy:
    that charge may park the waiter, and threads sharing the epoll may
    change its ready list meanwhile. One run: an epoll watches [x1] with
@@ -1218,6 +1312,10 @@ let () =
             test_epoll_connect_after_add_wakes;
           Alcotest.test_case "epoll: nested epoll wakes its waiter" `Quick
             test_epoll_nested_wakes;
+          Alcotest.test_case "epoll: ADD closing a cycle is refused" `Quick
+            test_epoll_cycle_refused;
+          Alcotest.test_case "epoll: close drops the file's watches" `Quick
+            test_epoll_close_drops_watches;
           Alcotest.test_case "epoll: DEL in the copy charge" `Quick
             test_epoll_shared_del_during_charge;
           Alcotest.test_case "epoll: re-collect in the copy charge" `Quick

@@ -13,6 +13,8 @@ module Config = Varan_nvx.Config
 module Variant = Varan_nvx.Variant
 module Rules = Varan_bpf.Rules
 
+let run_checked = Checked.run_checked
+
 let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected errno %s" (Errno.name e)
@@ -41,7 +43,7 @@ let test_followers_replay_results () =
   in
   let variants = List.init 3 (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i)) in
   let session = Nvx.launch k variants in
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "16 bytes" 16 (String.length results.(0));
   Alcotest.(check string) "follower 1 sees leader bytes" results.(0) results.(1);
   Alcotest.(check string) "follower 2 sees leader bytes" results.(0) results.(2);
@@ -64,7 +66,7 @@ let test_time_virtualised () =
   in
   let variants = List.init 2 (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i)) in
   ignore (Nvx.launch k variants);
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int64) "vdso result replayed" times.(0) times.(1)
 
 let test_fd_tables_stay_aligned () =
@@ -85,7 +87,7 @@ let test_fd_tables_stay_aligned () =
   in
   let variants = List.init 2 (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i)) in
   ignore (Nvx.launch k variants);
-  E.run eng;
+  run_checked eng;
   Alcotest.(check bool) "identical fd numbers across variants" true
     (fds.(0) = fds.(1));
   let _, _, c = fds.(0) in
@@ -102,7 +104,7 @@ let test_write_results_replayed () =
   in
   let variants = List.init 2 (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i)) in
   ignore (Nvx.launch k variants);
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "leader ret" 11 rets.(0);
   Alcotest.(check int) "follower sees same ret" 11 rets.(1)
 
@@ -117,7 +119,7 @@ let test_only_leader_touches_files () =
   in
   let variants = List.init 3 (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i)) in
   ignore (Nvx.launch k variants);
-  E.run eng;
+  run_checked eng;
   (* If followers also executed the write, the file would hold the text
      several times (shared offset through granted descriptors). *)
   Alcotest.(check (option string))
@@ -142,7 +144,7 @@ let test_divergence_without_rules_kills_follower () =
     [ simple_variant "leader" leader_body; simple_variant "buggy" follower_body ]
   in
   let session = Nvx.launch k variants in
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "one crash" 1 (List.length (Nvx.crashes session));
   Alcotest.(check bool) "leader alive" true (Nvx.is_alive session 0);
   Alcotest.(check bool) "follower dead" false (Nvx.is_alive session 1)
@@ -174,7 +176,7 @@ let test_divergence_addition_rule () =
     ]
   in
   let session = Nvx.launch k variants in
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "no crashes" 0 (List.length (Nvx.crashes session));
   Alcotest.(check (list int)) "both finished" [ 1; 1 ] (Array.to_list final);
   let st = Nvx.stats session in
@@ -213,7 +215,7 @@ let test_divergence_removal_rule () =
     ]
   in
   let session = Nvx.launch k variants in
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "no crashes" 0 (List.length (Nvx.crashes session));
   Alcotest.(check bool) "follower finished" true !finished;
   let st = Nvx.stats session in
@@ -246,7 +248,7 @@ let test_divergence_coalescing () =
     ]
   in
   let session = Nvx.launch k variants in
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "no crashes" 0 (List.length (Nvx.crashes session));
   Alcotest.(check (list int)) "leader wrote once" [ 1024 ] rets.(0);
   Alcotest.(check (list int)) "follower slices" [ 512; 512 ] rets.(1);
@@ -283,7 +285,7 @@ let test_divergence_coalescing_reverse () =
     ]
   in
   let session = Nvx.launch k variants in
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "no crashes" 0 (List.length (Nvx.crashes session));
   Alcotest.(check int) "leader total" 1024 written.(0);
   Alcotest.(check int) "follower total" 1024 written.(1)
@@ -352,7 +354,7 @@ let run_failover_scenario ~buggy_is_leader =
       ]
   in
   let session = Nvx.launch k variants in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   (session, List.rev !replies, List.rev !latencies)
 
 let test_failover_leader_crash () =
@@ -414,7 +416,7 @@ let test_multithreaded_clock_ordering () =
   let mk name = Variant.make name program in
   let session = Nvx.launch k [ mk "v0"; mk "v1" ] in
   ignore sums;
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "no crashes" 0 (List.length (Nvx.crashes session));
   let st = Nvx.stats session in
   Alcotest.(check int) "follower consumed everything"
@@ -449,7 +451,7 @@ let test_futex_coordination_streams () =
     List.init 2 (fun i -> Variant.make (Printf.sprintf "v%d" i) (program i))
   in
   let session = Nvx.launch k variants in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check int) "no crashes" 0 (List.length (Nvx.crashes session));
   Alcotest.(check (list string))
     "leader order" [ "waking"; "woken" ] order.(0);
@@ -472,7 +474,7 @@ let test_simulation_deterministic () =
       List.init 3 (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i))
     in
     ignore (Nvx.launch k variants);
-    E.run eng;
+    run_checked eng;
     (Buffer.contents digest, E.now eng)
   in
   let d1, t1 = run () in
@@ -500,7 +502,7 @@ let test_multiprocess_separate_rings () =
   in
   let mk name = Variant.make name program in
   let session = Nvx.launch k [ mk "v0"; mk "v1" ] in
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "no crashes" 0 (List.length (Nvx.crashes session));
   let st = Nvx.stats session in
   Alcotest.(check int) "three rings" 3 (Array.length st.Nvx.rings);
@@ -523,7 +525,7 @@ let run_simple_session config =
   in
   let variants = List.init 2 (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i)) in
   let session = Nvx.launch ~config k variants in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   (session, results)
 
 let test_event_pump_mode_equivalent () =
@@ -590,7 +592,7 @@ let test_signal_streamed_to_followers () =
            E.sleep 5_000
          done;
          ignore (Api.kill api pids.(0) 10)));
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check int) "no crashes" 0 (List.length (Nvx.crashes session));
   Alcotest.(check bool) "leader handler fired" true (fired.(0) >= 0);
   Alcotest.(check int) "follower 1 fired at same position" fired.(0) fired.(1);
@@ -611,7 +613,7 @@ let test_signal_native_delivery () =
         Alcotest.(check bool) "delivered at boundary" true !fired)
   in
   K.register_task k proc tid;
-  E.run eng
+  run_checked eng
 
 (* ---- edge cases --------------------------------------------------------- *)
 
@@ -644,7 +646,7 @@ let test_failover_chain_two_crashes () =
              replies := Bytes.to_string reply :: !replies)
            [ "one"; "BOOM"; "three" ];
          ignore (ok (Api.close api fd))));
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check (list string))
     "all replies despite two crashes" [ "one"; "BOOM"; "three" ]
     (List.rev !replies);
@@ -678,7 +680,7 @@ let test_failover_cascade_seven_crashes () =
              replies := Bytes.to_string reply :: !replies)
            [ "BOOM"; "two" ];
          ignore (ok (Api.close api fd))));
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check (list string))
     "client survives a seven-deep crash cascade" [ "BOOM"; "two" ]
     (List.rev !replies);
@@ -699,7 +701,7 @@ let test_pool_payloads_freed () =
     List.init 3 (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i))
   in
   let session = Nvx.launch k variants in
-  E.run eng;
+  run_checked eng;
   let st = Nvx.stats session in
   Alcotest.(check int) "all payload chunks freed" 0
     st.Nvx.pool.Varan_shmem.Pool.live_chunks;
@@ -718,7 +720,7 @@ let test_exit_group_streams_to_followers () =
     List.init 2 (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i))
   in
   let session = Nvx.launch k variants in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check int) "no crashes" 0 (List.length (Nvx.crashes session));
   Alcotest.(check bool) "leader stopped at exit" false reached.(0);
   Alcotest.(check bool) "follower stopped at exit" false reached.(1)
@@ -752,7 +754,7 @@ let test_vdso_dispatch_counted () =
     List.init 2 (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i))
   in
   let session = Nvx.launch k variants in
-  E.run eng;
+  run_checked eng;
   let st = Nvx.stats session in
   Alcotest.(check int) "leader vdso dispatches" 5
     st.Nvx.variants.(0).Nvx.vs_vdso_dispatches;
@@ -798,7 +800,7 @@ let test_stub_syscalls_succeed () =
     List.init 2 (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i))
   in
   let session = Nvx.launch k variants in
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "no crashes" 0 (List.length (Nvx.crashes session));
   Alcotest.(check int) "leader all ok" (List.length calls) oks.(0);
   Alcotest.(check int) "follower all ok" (List.length calls) oks.(1)
@@ -831,7 +833,7 @@ let test_fork_streams_new_tuple () =
     List.init n (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i))
   in
   let session = Nvx.launch k variants in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check int) "no crashes" 0 (List.length (Nvx.crashes session));
   for i = 1 to n - 1 do
     Alcotest.(check string)
@@ -866,7 +868,7 @@ let test_fork_nested () =
     List.init 2 (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i))
   in
   let session = Nvx.launch k variants in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check int) "no crashes" 0 (List.length (Nvx.crashes session));
   Alcotest.(check string) "grandchild replayed" results.(0) results.(1);
   Alcotest.(check int) "grandchild saw bytes" 6 (String.length results.(0))
@@ -887,7 +889,7 @@ let test_fork_native_hook () =
                 (Api.getpid capi <> !parent_pid)))
   in
   K.register_task k proc tid;
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check bool) "child ran" true !child_ran;
   Alcotest.(check bool) "pid returned" true (!child_pid > 0)
 
@@ -903,7 +905,7 @@ let test_trace_under_monitor () =
     List.init 2 (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i))
   in
   let session = Nvx.launch ~config k variants in
-  E.run eng;
+  run_checked eng;
   let lines = Nvx.trace_lines session in
   Alcotest.(check bool) "trace captured" true (List.length lines >= 2);
   Alcotest.(check bool) "open traced" true
@@ -927,7 +929,7 @@ let test_six_followers () =
   in
   let variants = List.init n (fun i -> simple_variant (Printf.sprintf "v%d" i) (body i)) in
   let session = Nvx.launch k variants in
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "no crashes" 0 (List.length (Nvx.crashes session));
   for i = 1 to n - 1 do
     Alcotest.(check string)

@@ -16,6 +16,8 @@ module Variant = Varan_nvx.Variant
 module Prng = Varan_util.Prng
 module P = Gen_programs
 
+let run_checked = Checked.run_checked
+
 let run_nvx ~kernel_seed ~followers ~config ops =
   let eng = E.create () in
   let k = K.create ~seed:kernel_seed eng in
@@ -28,7 +30,7 @@ let run_nvx ~kernel_seed ~followers ~config ops =
           (Variant.single (fun api -> P.interpret ~obs:obs.(i) ~path:"0" ops api)))
   in
   let session = Nvx.launch ~config k variants in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   (Array.map P.digest obs, Nvx.crashes session)
 
 let arb_program =

@@ -3,6 +3,8 @@
 
 module E = Varan_sim.Engine
 
+let run_checked = Checked.run_checked
+
 let test_consume_advances_time () =
   let eng = E.create () in
   let final = ref 0L in
@@ -11,14 +13,14 @@ let test_consume_advances_time () =
          E.consume 100;
          E.consume 50;
          final := E.now_cycles ()));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int64) "local time" 150L !final;
   Alcotest.(check int64) "global time" 150L (E.now eng)
 
 let test_zero_consume_is_free () =
   let eng = E.create () in
   ignore (E.spawn eng (fun () -> E.consume 0));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int64) "no time passes" 0L (E.now eng)
 
 let test_interleaving_by_time () =
@@ -37,7 +39,7 @@ let test_interleaving_by_time () =
          emit "fast1";
          E.consume 30;
          emit "fast2"));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check (list string))
     "events ordered by virtual time"
     [ "fast1"; "fast2"; "slow1"; "slow2" ]
@@ -48,7 +50,7 @@ let test_fifo_tie_break () =
   let log = ref [] in
   ignore (E.spawn eng ~name:"first" (fun () -> log := "first" :: !log));
   ignore (E.spawn eng ~name:"second" (fun () -> log := "second" :: !log));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check (list string))
     "creation order on ties" [ "first"; "second" ] (List.rev !log)
 
@@ -60,7 +62,7 @@ let test_sleep () =
          E.consume 10;
          E.sleep 90;
          woke := E.now_cycles ()));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int64) "sleep adds to clock" 100L !woke
 
 let test_cond_signal () =
@@ -75,7 +77,7 @@ let test_cond_signal () =
     (E.spawn eng ~name:"signaller" (fun () ->
          E.consume 500;
          E.Cond.signal c));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int64) "woken at signaller's time" 500L !wake_time
 
 let test_cond_broadcast () =
@@ -92,7 +94,7 @@ let test_cond_broadcast () =
     (E.spawn eng (fun () ->
          E.consume 10;
          E.Cond.broadcast c));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "all woken" 5 !count
 
 let test_cond_signal_wakes_one () =
@@ -109,7 +111,7 @@ let test_cond_signal_wakes_one () =
     (E.spawn eng (fun () ->
          E.consume 10;
          E.Cond.signal c));
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check int) "exactly one woken" 1 !count;
   Alcotest.(check int) "two still waiting" 2 (E.Cond.waiters c)
 
@@ -122,7 +124,7 @@ let test_wait_timeout_expires () =
     (E.spawn eng (fun () ->
          result := E.Cond.wait_timeout c 250;
          woke := E.now_cycles ()));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check bool) "timed out" false !result;
   Alcotest.(check int64) "at deadline" 250L !woke
 
@@ -135,7 +137,7 @@ let test_wait_timeout_signalled () =
     (E.spawn eng (fun () ->
          E.consume 100;
          E.Cond.signal c));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check bool) "signalled before deadline" true !result
 
 (* One task through every [wait_timeout] outcome in turn: signalled
@@ -166,7 +168,7 @@ let test_wait_timeout_outcomes () =
          E.Cond.signal c;
          E.consume 100;
          E.kill_here waiter));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check (list (pair bool int)))
     "results at their times"
     [ (true, 100); (false, 150); (true, 200) ]
@@ -199,7 +201,7 @@ let test_timeout_then_second_cond () =
          E.Cond.broadcast c1;
          E.consume 10;
          E.Cond.signal c2));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check (list (triple string bool int)))
     "woken by the deadline, then by c2 only"
     [ ("timeout", false, 10); ("c2", true, 30) ]
@@ -231,7 +233,7 @@ let test_kill_mid_queue_keeps_fifo () =
                E.Cond.signal c;
                E.consume 1
              done));
-    E.run eng;
+    run_checked eng;
     List.rev !log
   in
   Alcotest.(check (list string))
@@ -264,7 +266,7 @@ let test_waiters_exact () =
          at "after broadcast";
          E.Cond.signal c;
          at "signal into nobody"));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check (list (pair string int)))
     "waiter count"
     [
@@ -300,7 +302,7 @@ let test_kill_blocked_task () =
     (E.spawn eng ~name:"killer" (fun () ->
          E.consume 10;
          E.kill_here victim));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check bool) "finally ran on kill" true !cleaned;
   Alcotest.(check bool) "victim dead" false (E.is_alive eng victim)
 
@@ -317,7 +319,7 @@ let test_kill_running_task () =
     (E.spawn eng ~name:"killer" (fun () ->
          E.consume 5;
          E.kill_here vid));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check bool) "victim never finished body" false !reached
 
 let test_kill_not_started () =
@@ -325,7 +327,7 @@ let test_kill_not_started () =
   let ran = ref false in
   let vid = E.spawn eng ~name:"victim" (fun () -> ran := true) in
   E.kill eng vid;
-  E.run eng;
+  run_checked eng;
   Alcotest.(check bool) "never ran" false !ran
 
 let test_spawn_here_inherits_time () =
@@ -337,7 +339,7 @@ let test_spawn_here_inherits_time () =
          ignore
            (E.spawn_here ~name:"child" (fun () ->
                 child_time := E.now_cycles ()))));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int64) "child starts at parent's time" 1234L !child_time
 
 let test_failure_recorded () =
@@ -360,7 +362,7 @@ let test_yield_fairness () =
   in
   ignore (task "a");
   ignore (task "b");
-  E.run eng;
+  run_checked eng;
   Alcotest.(check (list string))
     "round-robin at equal time"
     [ "a"; "b"; "a"; "b" ]
@@ -395,7 +397,7 @@ let test_kill_on_ready_ring () =
                  incr runs;
                  E.yield ()
                done)));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "victim ran exactly once before the kill" 1 !runs;
   Alcotest.(check bool) "finally ran on ring-queued kill" true !cleaned;
   Alcotest.(check bool) "victim dead"
@@ -418,7 +420,7 @@ let test_ticker_deactivates_mid_drain () =
       true);
   (* A single sleep jumps virtual time across every deadline at once. *)
   ignore (E.spawn eng (fun () -> E.sleep 1050));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check (list int64))
     "fast ticker fires thrice then deactivates"
     [ 100L; 200L; 300L ]
@@ -455,7 +457,7 @@ let test_timeout_vs_signal_same_vtime () =
     else (
       signaller ();
       waiter ());
-    E.run eng;
+    run_checked eng;
     match !result with
     | Some r -> r
     | None -> Alcotest.fail "waiter never resolved"
@@ -594,7 +596,7 @@ let engine_schedule programs =
                  log := (i, j, Int64.to_int (E.now_cycles ()), flag) :: !log)
                ops)))
     programs;
-  E.run eng;
+  run_checked eng;
   List.rev !log
 
 let gen_program rng =
@@ -727,7 +729,7 @@ let after_schedule ~via_after ~ticker ~budget programs =
                  note label (E.clock ()))
                ops)))
     programs;
-  (match E.run_until_quiescent ?cycle_budget:budget eng with
+  (match run_checked ~quiescent:true ?cycle_budget:budget eng with
   | () -> ()
   | exception E.Budget_exceeded at -> note "budget" (Int64.to_int at));
   (List.rev !log, E.task_switches eng)
@@ -762,7 +764,7 @@ let test_many_tasks_scale () =
            E.consume i;
            incr total))
   done;
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "all tasks ran" 1000 !total;
   Alcotest.(check int64) "time is max consume" 1000L (E.now eng)
 
@@ -801,7 +803,7 @@ let test_unhandled_in_ticker () =
         List.map (fun (name, f) -> (name, unhandled f)) (outside_task_calls ());
       false);
   ignore (E.spawn eng (fun () -> E.consume 100));
-  E.run eng;
+  run_checked eng;
   Alcotest.(check int) "ticker fired" (List.length (outside_task_calls ()))
     (List.length !seen);
   List.iter
@@ -832,7 +834,7 @@ let test_after_in_killed_task () =
       (E.spawn eng (fun () ->
            E.consume 10;
            E.kill_here victim));
-    E.run eng;
+    run_checked eng;
     (!unwound, !fired)
   in
   Alcotest.(check (pair bool bool))
@@ -876,7 +878,7 @@ let test_killed_cleanup_wakes_nobody () =
          E.consume 50;
          E.kill_here a;
          E.kill_here b));
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check bool) "consume-first victim dead" false (E.is_alive eng a);
   Alcotest.(check bool) "broadcast-first victim dead" false (E.is_alive eng b);
   Alcotest.(check int) "nobody woken" 0 !woken;
@@ -905,7 +907,7 @@ let test_nested_engine_restores_slots () =
            log := ("budget", E.clock ()) :: !log);
          E.consume 3;
          log := ("end", Int64.to_int (E.now_cycles ())) :: !log));
-  E.run outer;
+  run_checked outer;
   Alcotest.(check (list (pair string int)))
     "outer task's clock"
     [ ("after run", 10); ("after consume", 17); ("budget", 17); ("end", 20) ]
@@ -941,7 +943,7 @@ let test_direct_calls_allocate_nothing () =
          measure "inline consume" (fun () -> E.consume 1);
          measure "clock" (fun () -> ignore (E.clock ()));
          measure "broadcast, no waiters" (fun () -> E.Cond.broadcast c)));
-  E.run eng;
+  run_checked eng;
   List.iter
     (fun (name, per_call) ->
       if per_call >= 0.01 then
@@ -965,7 +967,7 @@ let test_parked_consume_allocation () =
                E.consume 1
              done))
     done;
-    let w = words_during (fun () -> E.run eng) in
+    let w = words_during (fun () -> run_checked eng) in
     (w, E.task_switches eng)
   in
   let w1, s1 = lockstep calls and w2, s2 = lockstep (2 * calls) in
@@ -987,9 +989,7 @@ let test_parked_cond_allocation () =
       body eng n (fun c ->
           incr parks;
           wait c);
-      let w = words_during (fun () -> E.run eng) in
-      Alcotest.(check int) (name ^ ": no task failed") 0
-        (List.length (E.failures eng));
+      let w = words_during (fun () -> run_checked eng) in
       (w, !parks)
     in
     let w1, p1 = run calls and w2, p2 = run (2 * calls) in

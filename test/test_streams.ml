@@ -121,12 +121,7 @@ let test_pool_view () =
 
 (* --- ring ------------------------------------------------------------- *)
 
-(* Run to completion. The engine only records an exception raised in a
-   task, so a check that failed inside a task is re-raised here to fail
-   the test. *)
-let run_checked eng =
-  E.run eng;
-  match E.failures eng with [] -> () | (_, e) :: _ -> raise e
+let run_checked = Checked.run_checked
 
 let test_ring_publish_consume () =
   let eng = E.create () in

@@ -7,6 +7,8 @@ module Stats = Varan_util.Stats
 module Tablefmt = Varan_util.Tablefmt
 module Bytequeue = Varan_kernel.Bytequeue
 
+let run_checked = Checked.run_checked
+
 (* --- prng ------------------------------------------------------------ *)
 
 let test_prng_deterministic () =
@@ -143,25 +145,6 @@ let test_summarize_array_non_mutation () =
   Alcotest.(check (float 1e-9)) "median over the sorted copy" 3.0
     s.Stats.median
 
-let test_scoped_counters () =
-  Alcotest.(check string) "unscoped name unchanged" "lifecycle.respawns"
-    (Stats.scoped_name "lifecycle.respawns");
-  Alcotest.(check string) "scope prefixes" "shard3.lifecycle.respawns"
-    (Stats.scoped_name ~scope:"shard3" "lifecycle.respawns");
-  let a = Stats.scoped_counter ~scope:"s0" "test.scoped" in
-  let b = Stats.scoped_counter ~scope:"s1" "test.scoped" in
-  let before_a = Stats.counter_value a in
-  let before_b = Stats.counter_value b in
-  Stats.incr_counter a;
-  Stats.incr_counter a;
-  Stats.incr_counter b;
-  Alcotest.(check int) "scopes tally apart (s0)" (before_a + 2)
-    (Stats.counter_value a);
-  Alcotest.(check int) "scopes tally apart (s1)" (before_b + 1)
-    (Stats.counter_value b);
-  Alcotest.(check string) "scoped counter name" "s0.test.scoped"
-    (Stats.counter_name a)
-
 (* --- floatbuf --------------------------------------------------------- *)
 
 module Floatbuf = Varan_util.Floatbuf
@@ -209,39 +192,10 @@ let test_floatbuf_capacity_doubling () =
     [| 0.0; 10.0; 20.0; 30.0; 40.0 |]
     (Floatbuf.to_array b)
 
-(* --- registry ---------------------------------------------------------- *)
+(* --- counters export ------------------------------------------------ *)
 
-let test_registry_hygiene () =
-  Stats.clear_registry ();
-  let c0 = Stats.scoped_counter ~scope:"caseA" "events" in
-  let _c1 = Stats.scoped_counter ~scope:"caseB" "events" in
-  Stats.incr_counter c0;
-  Alcotest.(check int) "two counters registered" 2
-    (List.length (Stats.counters ()));
-  (* remove_scope drops exactly the prefix-matched registrations. *)
-  Stats.remove_scope "caseA";
-  Alcotest.(check (list string)) "caseA gone, caseB stays"
-    [ "caseB.events" ]
-    (List.map fst (Stats.counters ()));
-  (* An existing handle still works after its registration is dropped —
-     it is just no longer visible to dump_json. *)
-  Stats.incr_counter c0;
-  Alcotest.(check int) "orphan handle still tallies" 2
-    (Stats.counter_value c0);
-  (* Re-requesting the name creates a fresh counter from zero. *)
-  let c0' = Stats.scoped_counter ~scope:"caseA" "events" in
-  Alcotest.(check int) "re-created counter starts fresh" 0
-    (Stats.counter_value c0');
-  Stats.clear_registry ();
-  Alcotest.(check int) "clear_registry empties counters" 0
-    (List.length (Stats.counters ()))
-
-let test_dump_json_well_formed () =
-  Stats.clear_registry ();
-  let c = Stats.counter "a.count" in
-  Stats.add_counter c 3;
-  Stats.incr_counter (Stats.counter "a.lat\"quoted\"");
-  let s = Stats.dump_json () in
+let test_counters_json_well_formed () =
+  let s = Stats.counters_json [ ("b.count", 3); ("a.lat\"quoted\"", 1) ] in
   (* Must parse as JSON — handed to CI and external tools verbatim. We
      have no JSON parser in-tree; check the shape instead: balanced
      braces/brackets outside strings and the escaped name present. *)
@@ -266,10 +220,13 @@ let test_dump_json_well_formed () =
     let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
     go 0
   in
-  Alcotest.(check bool) "counter present" true (contains ~sub:"a.count" s);
+  Alcotest.(check bool) "counter present" true (contains ~sub:"b.count" s);
   Alcotest.(check bool) "quote in counter name escaped" true
     (contains ~sub:"a.lat\\\"quoted\\\"" s);
-  Stats.clear_registry ()
+  Alcotest.(check bool) "sorted by name" true
+    (contains ~sub:"\"a.lat\\\"quoted\\\"\": 1,\n    \"b.count\": 3\n" s);
+  Alcotest.(check string) "no counters, empty object"
+    "{\n  \"counters\": {\n  }\n}\n" (Stats.counters_json [])
 
 (* --- tablefmt ---------------------------------------------------------- *)
 
@@ -477,7 +434,7 @@ let test_proto_roundtrip_over_socket () =
          ok (Proto.send_str api fd "one");
          ok (Proto.send_msg api fd (Bytes.make 5000 'x'));
          ignore (Api.close api fd)));
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   match List.rev !got with
   | [ a; b; c ] ->
     Alcotest.(check int) "empty frame" 0 (String.length a);
@@ -509,15 +466,13 @@ let () =
             test_stats_tiny_samples;
           Alcotest.test_case "summarize_array non-mutation" `Quick
             test_summarize_array_non_mutation;
-          Alcotest.test_case "scoped counters" `Quick test_scoped_counters;
           Alcotest.test_case "floatbuf grows in order" `Quick
             test_floatbuf_grows_in_order;
           Alcotest.test_case "floatbuf capacity doubling" `Quick
             test_floatbuf_capacity_doubling;
           QCheck_alcotest.to_alcotest prop_stats_summary_consistent;
-          Alcotest.test_case "registry hygiene" `Quick test_registry_hygiene;
-          Alcotest.test_case "dump_json well-formed" `Quick
-            test_dump_json_well_formed;
+          Alcotest.test_case "counters_json well-formed" `Quick
+            test_counters_json_well_formed;
         ] );
       ( "tablefmt",
         [

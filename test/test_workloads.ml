@@ -19,6 +19,8 @@ module Spec = Varan_workloads.Spec
 module Kv_server = Varan_workloads.Kv_server
 module Proto = Varan_workloads.Proto
 
+let run_checked = Checked.run_checked
+
 (* Small copies of the catalog loads so tests stay fast. *)
 let shrink ?(conns = 4) ?(reqs = 12) w =
   {
@@ -146,7 +148,7 @@ let test_lockstep_correctness () =
   in
   let mk name i = Variant.make name (Variant.single (body i)) in
   let t = Lockstep.launch k [ mk "a" 0; mk "b" 1 ] in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check (option string))
     "single execution" (Some "once")
     (Varan_kernel.Vfs.read_file k "/var/out");
@@ -168,7 +170,7 @@ let test_lockstep_divergence_fatal () =
         Variant.make "b" (Variant.single body_b);
       ]
   in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   let st = Lockstep.stats t in
   Alcotest.(check bool) "divergence detected" true (st.Lockstep.divergences > 0)
 
@@ -231,7 +233,7 @@ let run_revision_pair leader follower =
         ignore (Api.close api fd))
   in
   K.register_task k cproc tid;
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   (!served, Nvx.crashes session, Nvx.is_alive session 1)
 
 let test_revision_pairs_coexist () =
@@ -264,7 +266,7 @@ let test_revision_divergence_without_rules_fatal () =
   in
   let session = Nvx.launch k variants in
   (* No client needed: the startup prologue already diverges. *)
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check bool) "follower killed" false (Nvx.is_alive session 1)
 
 (* --- record-replay -------------------------------------------------------- *)
@@ -285,9 +287,9 @@ let test_record_then_replay_roundtrip () =
     Nvx.launch k [ Variant.make "orig" (Variant.single (program 0)) ]
   in
   let recorder = RR.record session k ~tuple:0 ~path:"/var/log.bin" in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   ignore (E.spawn eng (fun () -> RR.stop recorder));
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check bool) "events recorded" true (RR.recorded_events recorder > 0);
   (* Replay on a different machine with different entropy. *)
   let eng2 = E.create () in
@@ -302,7 +304,7 @@ let test_record_then_replay_roundtrip () =
         Variant.make "rb" (Variant.single (program 2));
       ]
   in
-  E.run_until_quiescent eng2;
+  run_checked ~quiescent:true eng2;
   Alcotest.(check int) "no replay crashes" 0 (List.length (RR.replay_crashes rp));
   Alcotest.(check string) "replay a faithful" observed.(0) observed.(1);
   Alcotest.(check string) "replay b faithful" observed.(0) observed.(2)
@@ -321,14 +323,14 @@ let test_replay_divergent_version_detected () =
     Nvx.launch k [ Variant.make "orig" (Variant.single recorded) ]
   in
   let recorder = RR.record session k ~tuple:0 ~path:"/var/log2.bin" in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   ignore (E.spawn eng (fun () -> RR.stop recorder));
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   let rp =
     RR.replay k ~path:"/var/log2.bin"
       [ Variant.make "bad" (Variant.single divergent) ]
   in
-  E.run_until_quiescent eng;
+  run_checked ~quiescent:true eng;
   Alcotest.(check int) "divergence reported" 1
     (List.length (RR.replay_crashes rp))
 
@@ -428,6 +430,62 @@ let test_sharded_pool_shares_spawn () =
         true (n > 0))
     rs.Router.per_shard
 
+(* [varan serve --stats-json] writes [Shard.counters]; every value must
+   be its owner's own report: each shard session's checkpoint store and
+   lifecycle report under its scope, the router's drains, the degraded
+   shards, the hub cache's stats and the engine's switch count. *)
+let test_serving_counters_match_owners () =
+  let module Shard = Varan_nvx.Shard in
+  let module Session = Varan_nvx.Session in
+  let module Cp = Varan_nvx.Checkpoint in
+  let module L = Varan_nvx.Lifecycle in
+  let module C = Varan_binary.Rewrite_cache in
+  let o = Serving.run ~label:"test-counters" (tiny_serving ~shards:2 ()) in
+  let pool = o.Serving.o_pool in
+  let shard i =
+    let s = Shard.session pool i in
+    let cp = Cp.stats (Session.checkpoint_store s) in
+    let lr =
+      match Session.lifecycle_report s with
+      | Some r -> r
+      | None -> Alcotest.fail "serving shards run a lifecycle policy"
+    in
+    List.map
+      (fun (name, v) -> (Printf.sprintf "shard%d.%s" i name, v))
+      [
+        ("checkpoint.dedup_hits", cp.Cp.dedup_hits);
+        ("checkpoint.delta_events", cp.Cp.delta_events);
+        ("checkpoint.restores", cp.Cp.restores);
+        ("checkpoint.taken", cp.Cp.taken);
+        ("lifecycle.deaths", lr.L.deaths);
+        ( "lifecycle.degradations",
+          if lr.L.degraded_reason = None then 0 else 1 );
+        ("lifecycle.quarantines", lr.L.quarantines);
+        ("lifecycle.rejoins", lr.L.rejoins);
+        ("lifecycle.respawns", lr.L.respawns);
+        ("lifecycle.unreachable", lr.L.unreachable);
+      ]
+  in
+  let got = Shard.counters pool in
+  let switches = List.assoc "engine.task_switches" got in
+  Alcotest.(check bool) "the engine switched tasks" true (switches > 0);
+  let cache = C.stats (Session.shared_cache (Shard.hub pool)) in
+  let want =
+    shard 0 @ shard 1
+    @ [
+        ("engine.task_switches", switches);
+        ("rewrite_cache.hits", cache.C.hits);
+        ("rewrite_cache.misses", cache.C.misses);
+        ("rewrite_cache.rebases", cache.C.rebases);
+        ("router.drained", (Router.stats (Shard.router pool)).Router.drained);
+        ("shard.degraded", List.length (Shard.degraded pool));
+      ]
+  in
+  Alcotest.(check (list (pair string int))) "counters equal the owners' reports"
+    (List.sort compare want) (List.sort compare got);
+  Alcotest.(check int) "the pool rebased the cached image" 3
+    (List.assoc "rewrite_cache.hits" got)
+
 (* Below saturation the open-loop workers go idle between arrivals and
    close their connections at the end; every unit must wait for all of
    them, or a worker is stranded in recv at quiescence and its request is
@@ -491,6 +549,8 @@ let () =
             test_open_loop_accounting;
           Alcotest.test_case "sharded pool shares the spawn hub" `Quick
             test_sharded_pool_shares_spawn;
+          Alcotest.test_case "exported counters equal the owners' reports"
+            `Quick test_serving_counters_match_owners;
           Alcotest.test_case "light load loses no request" `Quick
             test_light_load_conservation;
           Alcotest.test_case "words per arrival" `Quick
